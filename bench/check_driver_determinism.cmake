@@ -3,15 +3,17 @@
 # Replay depends only on (config, policy), never on scheduling, so the driver
 # must produce byte-identical stdout whether experiments and sweeps run
 # serially or fanned out. Runs the same selection at --threads 1 and
-# --threads THREADS and fails on any stdout difference.
+# --threads THREADS and fails on any stdout difference. Also asserts that
+# both runs wrote one coopfs.run/v1 manifest per selected experiment.
 #
 # Expected -D variables:
 #   DRIVER   path to the coopfs_bench binary
 #   FILTER   the --filter glob for the selection
+#   NAMES    ;-list of the experiment names FILTER selects
 #   EVENTS   --events value (kept small for test time)
 #   THREADS  parallel width to compare against serial
 #   OUT_DIR  scratch --out-dir for manifests
-foreach(var DRIVER FILTER EVENTS THREADS OUT_DIR)
+foreach(var DRIVER FILTER NAMES EVENTS THREADS OUT_DIR)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "check_driver_determinism.cmake: missing -D${var}")
   endif()
@@ -38,4 +40,12 @@ if(NOT serial_out STREQUAL parallel_out)
   message(FATAL_ERROR "--threads ${THREADS} changed the driver's stdout; see "
     "${OUT_DIR}/serial.stdout vs ${OUT_DIR}/parallel.stdout")
 endif()
-message(STATUS "--threads ${THREADS} byte-identical to serial for '${FILTER}'")
+foreach(run serial parallel)
+  foreach(name IN LISTS NAMES)
+    if(NOT EXISTS "${OUT_DIR}/${run}/${name}.run.json")
+      message(FATAL_ERROR "${run} driver run did not write ${OUT_DIR}/${run}/${name}.run.json")
+    endif()
+  endforeach()
+endforeach()
+message(STATUS "--threads ${THREADS} byte-identical to serial for '${FILTER}', "
+  "and all manifests written")

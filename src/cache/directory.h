@@ -196,15 +196,10 @@ class Directory {
     Shard(Shard&&) = default;
   };
 
-  // Shard routing hashes the file id (SplitMix64 finalizer), not the whole
-  // block id, so a file's blocks share a shard and the per-file index never
-  // spans shards.
+  // Shard routing hashes the file id (FileShard), so the per-file index
+  // never spans shards.
   std::size_t ShardIndexFor(FileId file) const {
-    std::uint64_t x = static_cast<std::uint64_t>(file) + 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    x ^= x >> 31;
-    return static_cast<std::size_t>(x & shard_mask_);
+    return static_cast<std::size_t>(FileShard(file, shard_mask_));
   }
   Shard& ShardFor(FileId file) { return shards_[ShardIndexFor(file)]; }
   const Shard& ShardFor(FileId file) const { return shards_[ShardIndexFor(file)]; }

@@ -47,20 +47,9 @@
 
 #include "src/common/arena.h"
 #include "src/common/profiler.h"
+#include "src/common/types.h"
 
 namespace coopfs {
-
-// SplitMix64 finalizer: cheap, invertible, and well distributed for the
-// dense sequential ids (packed BlockId, FileId, ClientId) this codebase
-// keys on. Identical to the std::hash<BlockId> mixer in types.h.
-constexpr std::uint64_t MixHash64(std::uint64_t x) {
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ull;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebull;
-  x ^= x >> 31;
-  return x;
-}
 
 // Default hasher: integral keys are mixed directly (std::hash on libstdc++
 // is the identity, which a power-of-two table cannot digest); anything else
@@ -69,9 +58,9 @@ template <typename K>
 struct FlatHash {
   std::uint64_t operator()(const K& key) const {
     if constexpr (std::is_integral_v<K> || std::is_enum_v<K>) {
-      return MixHash64(static_cast<std::uint64_t>(key));
+      return Mix64(static_cast<std::uint64_t>(key));
     } else {
-      return MixHash64(static_cast<std::uint64_t>(std::hash<K>{}(key)));
+      return Mix64(static_cast<std::uint64_t>(std::hash<K>{}(key)));
     }
   }
 };

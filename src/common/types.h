@@ -91,19 +91,29 @@ constexpr std::size_t BytesToBlocks(std::size_t bytes) { return bytes / kBlockSi
 
 constexpr std::size_t MiB(std::size_t mib) { return mib * 1024 * 1024; }
 
+// SplitMix64 finalizer: cheap, invertible, and well distributed for the
+// dense sequential ids (packed BlockId, FileId, ClientId) this codebase
+// keys on. The one mixer behind every hash, sketch row, shard route, and
+// seed expansion, so all of them stay bit-for-bit reproducible.
+constexpr std::uint64_t Mix64(std::uint64_t x) {
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
+// Shard owning `file` among mask + 1 (a power of two) file-hash shards.
+// Hashes the file id, not the whole block id, so a file's blocks share a
+// shard; the directory and the concurrent CacheEngine route identically.
+constexpr std::uint64_t FileShard(FileId file, std::uint64_t mask) {
+  return Mix64(static_cast<std::uint64_t>(file) + 0x9e3779b97f4a7c15ull) & mask;
+}
+
 }  // namespace coopfs
 
 template <>
 struct std::hash<coopfs::BlockId> {
   std::size_t operator()(const coopfs::BlockId& id) const noexcept {
-    // SplitMix64 finalizer: cheap, well-distributed for sequential ids.
-    std::uint64_t x = id.Pack();
-    x ^= x >> 30;
-    x *= 0xbf58476d1ce4e5b9ull;
-    x ^= x >> 27;
-    x *= 0x94d049bb133111ebull;
-    x ^= x >> 31;
-    return static_cast<std::size_t>(x);
+    return static_cast<std::size_t>(coopfs::Mix64(id.Pack()));
   }
 };
 

@@ -17,8 +17,8 @@
 //   * Sharded concurrent mode — the engine builds `shards` independent
 //     worlds, each with its own SimContext, its own Policy instance (from a
 //     caller-supplied factory), and its own mutex. Requests route to a shard
-//     by the SplitMix64 finalizer of the file id — the same routing the
-//     sharded Directory uses internally (PR 9) — so every operation touches
+//     by FileShard (src/common/types.h) of the file id — the same routing
+//     the sharded Directory uses internally — so every operation touches
 //     exactly one shard and takes exactly one lock (Reboot, which is
 //     per-client rather than per-file, visits shards one at a time and never
 //     holds two locks). Per-shard cache capacities are the configured
@@ -47,9 +47,8 @@ namespace coopfs {
 
 // Latency charged for one read outcome under `config` (paper §3, Figure 3):
 // memory_copy + hops x per_hop + block_transfer (if the 8 KB block crossed
-// the network) + disk access time (if the read reached disk). Moved here
-// from the Simulator so the serve layer charges the same constants;
-// Simulator::OutcomeLatency delegates to this.
+// the network) + disk access time (if the read reached disk). Replay and the
+// serve layer both charge through this one function.
 Micros OutcomeLatency(const ReadOutcome& outcome, const SimulationConfig& config);
 
 // Latency charged for one write-through put under `config`: the client
@@ -134,14 +133,10 @@ class CacheEngine {
   std::uint32_t num_clients() const { return num_clients_; }
   bool synchronized() const { return synchronized_; }
 
-  // Shard that owns `file`'s blocks (SplitMix64 routing, matching
+  // Shard that owns `file`'s blocks (FileShard routing, matching
   // Directory::ShardIndexFor).
   std::uint32_t ShardForFile(FileId file) const {
-    std::uint64_t x = static_cast<std::uint64_t>(file) + 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    x ^= x >> 31;
-    return static_cast<std::uint32_t>(x & shard_mask_);
+    return static_cast<std::uint32_t>(FileShard(file, shard_mask_));
   }
 
   // Direct shard state access for the replay fast path (shard 0 is the only

@@ -38,8 +38,7 @@ constexpr const char kUsage[] =
     "they name a directory that receives one file per experiment.\n";
 
 // Flags consumed by the driver itself; everything else must be a BenchOptions
-// flag or the parse fails (the standalone binaries stay permissive, the
-// driver catches typos).
+// flag or the parse fails, so typos are caught.
 bool IsDriverFlag(const char* arg) {
   return std::strcmp(arg, "--filter") == 0 || std::strcmp(arg, "--threads") == 0 ||
          std::strcmp(arg, "--out-dir") == 0;
@@ -54,7 +53,7 @@ bool IsBenchFlag(const char* arg) {
          std::strcmp(arg, "--bench-out") == 0 || std::strcmp(arg, "--max-clients") == 0;
 }
 
-// Equivalent re-run command line for the manifest: standalone flags that
+// Equivalent re-run command line for the manifest: driver flags that
 // reproduce this experiment's tables and exports at any thread count.
 std::string BuildCommand(const ExperimentSpec& spec, const BenchOptions& bench) {
   std::string command = "coopfs_bench --filter " + spec.name;
@@ -344,25 +343,6 @@ int DriverMain(int argc, char** argv) {
     }
   }
   return failures == 0 ? 0 : 1;
-}
-
-int ExperimentMain(const char* name, int argc, char** argv) {
-  RegisterBuiltinExperiments();
-  const ExperimentSpec* spec = ExperimentRegistry::Instance().Find(name);
-  if (spec == nullptr) {
-    std::fprintf(stderr, "unknown experiment '%s'\n", name);
-    return 2;
-  }
-  const BenchOptions options = BenchOptions::FromArgs(argc, argv);
-  ExperimentContext context(*spec, options);
-  context.set_sweep_threads(0);  // legacy standalone behavior: hardware concurrency
-  const Status status = spec->run(context);
-  std::fwrite(context.output().data(), 1, context.output().size(), stdout);
-  if (!status.ok()) {
-    std::fprintf(stderr, "%s\n", status.ToString().c_str());
-    return 1;
-  }
-  return 0;
 }
 
 }  // namespace coopfs

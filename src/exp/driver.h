@@ -1,4 +1,4 @@
-// The coopfs_bench driver and the standalone-binary entry point.
+// The coopfs_bench driver: the single entry point for every experiment.
 //
 // `coopfs_bench` executes registered experiments (src/exp/experiment.h):
 //
@@ -9,15 +9,10 @@
 //
 // plus every BenchOptions flag (--events, --seed, --json, ...). Each
 // experiment's stdout is buffered and printed in registration order, so the
-// driver's output for a selection is byte-identical to running the
-// corresponding standalone binaries in that order. Driver chrome (progress,
-// manifest paths) goes to stderr only. Every experiment run through the
-// driver writes a coopfs.run/v1 manifest (src/obs/run_manifest.h) into
-// --out-dir.
-//
-// The per-figure bench binaries are one-line wrappers over ExperimentMain,
-// which runs exactly one spec with legacy-compatible behavior (no manifest,
-// sweeps at hardware concurrency).
+// output for a selection does not depend on --threads. Driver chrome
+// (progress, manifest paths) goes to stderr only. Every experiment run
+// through the driver writes a coopfs.run/v1 manifest
+// (src/obs/run_manifest.h) into --out-dir.
 #ifndef COOPFS_SRC_EXP_DRIVER_H_
 #define COOPFS_SRC_EXP_DRIVER_H_
 
@@ -67,11 +62,6 @@ std::vector<ExperimentOutcome> RunExperiments(
 
 // main() of coopfs_bench.
 int DriverMain(int argc, char** argv);
-
-// main() of a standalone single-experiment binary: runs the named registered
-// spec with BenchOptions parsed from the command line, prints its buffered
-// output, and returns non-zero on failure. Writes no manifest.
-int ExperimentMain(const char* name, int argc, char** argv);
 
 }  // namespace coopfs
 

@@ -7,9 +7,7 @@
 // expectation note, and a run function working against an ExperimentContext);
 // the ExperimentRegistry holds them all in canonical order. The single
 // `coopfs_bench` driver executes registered specs (--list / --filter /
-// --threads, src/exp/driver.h); the per-figure bench binaries are thin
-// wrappers that run exactly one spec, so driver and standalone output are
-// byte-identical by construction.
+// --threads, src/exp/driver.h).
 #ifndef COOPFS_SRC_EXP_EXPERIMENT_H_
 #define COOPFS_SRC_EXP_EXPERIMENT_H_
 

@@ -99,6 +99,17 @@ Status ValidateBenchDocument(std::string_view json);
 // (tools-side consumption: bench_compare, the scaling gate).
 Result<BenchReport> ParseBenchDocument(std::string_view json);
 
+// Outcome of one gate evaluated over bench documents (the scaling, obs, and
+// serve gates; bench_compare drives them all from one table).
+struct GateResult {
+  // False when the document lacks the series the gate reads — nothing to
+  // gate (e.g. a --dry-run or pre-feature document).
+  bool applicable = false;
+  bool passed = true;
+  std::vector<std::string> failures;  // One line per violated check.
+  std::vector<std::string> notes;     // Skipped/degraded checks, context.
+};
+
 // Peak resident set size of this process in bytes, or 0 where unsupported.
 // On Linux this reads VmHWM, which TryResetPeakRssCounter can rewind.
 std::uint64_t CurrentPeakRssBytes();

@@ -203,19 +203,6 @@ void WriteResult(JsonWriter& json, const SimulationResult& result,
     json.EndArray();
   }
 
-  if (options.include_timeline && !result.timeline.empty()) {
-    json.Key("timeline").BeginArray();
-    for (const SimulationResult::TimelinePoint& point : result.timeline) {
-      json.BeginObject();
-      json.Key("end_time_us").Value(static_cast<std::int64_t>(point.end_time));
-      json.Key("reads").Value(point.reads);
-      json.Key("avg_read_time_us").Value(point.avg_read_time_us);
-      json.Key("disk_rate").Value(point.disk_rate);
-      json.EndObject();
-    }
-    json.EndArray();
-  }
-
   json.EndObject();
 }
 

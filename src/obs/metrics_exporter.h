@@ -33,7 +33,6 @@ inline constexpr std::string_view kMetricsSchema = "coopfs.metrics/v1";
 struct MetricsExportOptions {
   int indent = 2;                  // 0 = compact single-line JSON.
   bool include_per_client = true;  // Per-client read stats (Figure 7 input).
-  bool include_timeline = true;    // TimelinePoint series, if collected.
   bool include_histogram = true;   // Non-empty latency histogram buckets.
   // kBounded suppresses the exact O(num_clients) "per_client" array even
   // when the result carries one, keeping the export itself O(K); results

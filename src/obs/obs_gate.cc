@@ -16,8 +16,8 @@ const BenchSeries* FindSeries(const BenchReport& report, const char* name) {
 
 }  // namespace
 
-ObsGateResult EvaluateObsGate(const BenchReport& report, const ObsGateOptions& options) {
-  ObsGateResult result;
+GateResult EvaluateObsGate(const BenchReport& report, const ObsGateOptions& options) {
+  GateResult result;
 
   const BenchSeries* bounded = FindSeries(report, kObsGateBoundedSeries);
   const BenchSeries* baseline = FindSeries(report, kObsGateBaselineSeries);

@@ -36,18 +36,10 @@ struct ObsGateOptions {
   double max_overhead = 0.15;
 };
 
-struct ObsGateResult {
-  // False when the document lacks the bounded series or its untraced
-  // baseline — nothing to gate (e.g. a --dry-run or pre-feature document).
-  bool applicable = false;
-  bool passed = true;
-  std::vector<std::string> failures;  // One line per violated check.
-  std::vector<std::string> notes;     // Skipped checks, context.
-};
-
 // Evaluates the observability-overhead gate over `report`'s replay series.
-ObsGateResult EvaluateObsGate(const BenchReport& report,
-                              const ObsGateOptions& options = {});
+// Not applicable when the document lacks the bounded series or its
+// untraced baseline.
+GateResult EvaluateObsGate(const BenchReport& report, const ObsGateOptions& options = {});
 
 }  // namespace coopfs
 

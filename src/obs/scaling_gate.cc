@@ -35,9 +35,8 @@ std::string Ratio(double numerator, double denominator) {
 
 }  // namespace
 
-ScalingGateResult EvaluateScalingGate(const BenchReport& report,
-                                      const ScalingGateOptions& options) {
-  ScalingGateResult result;
+GateResult EvaluateScalingGate(const BenchReport& report, const ScalingGateOptions& options) {
+  GateResult result;
 
   std::vector<SweepPoint> points;
   for (const BenchSeries& series : report.series) {

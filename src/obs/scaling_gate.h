@@ -51,20 +51,13 @@ struct ScalingGateOptions {
   double oversubscribed_tolerance = 0.75;
 };
 
-struct ScalingGateResult {
-  // False when the document has no parallel_sweep_1t series or no wider
-  // companion — nothing to gate (e.g. a --dry-run document).
-  bool applicable = false;
-  bool passed = true;
-  std::vector<std::string> failures;  // One line per violated check.
-  std::vector<std::string> notes;     // Skipped/degraded checks, context.
-};
-
 // Evaluates the scaling gate over `report`'s parallel_sweep_<T>t series.
-// A document without `host_threads` (0) fails the gate when it is
-// applicable: the check cannot be interpreted without knowing the host.
-ScalingGateResult EvaluateScalingGate(const BenchReport& report,
-                                      const ScalingGateOptions& options = {});
+// Not applicable when the document has no parallel_sweep_1t series or no
+// wider companion. A document without `host_threads` (0) fails the gate
+// when it is applicable: the check cannot be interpreted without knowing
+// the host.
+GateResult EvaluateScalingGate(const BenchReport& report,
+                               const ScalingGateOptions& options = {});
 
 }  // namespace coopfs
 

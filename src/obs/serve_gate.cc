@@ -36,10 +36,9 @@ std::string FormatUs(double us) {
 
 }  // namespace
 
-ServeGateResult EvaluateServeGate(const BenchReport& candidate,
-                                  const BenchReport* baseline,
-                                  const ServeGateOptions& options) {
-  ServeGateResult result;
+GateResult EvaluateServeGate(const BenchReport& candidate, const BenchReport* baseline,
+                             const ServeGateOptions& options) {
+  GateResult result;
   for (const BenchSeries& series : candidate.series) {
     if (IsServeSeries(series) && series.latency.has_value()) {
       result.applicable = true;

@@ -46,20 +46,13 @@ struct ServeGateOptions {
   double max_p99_regression = 0.5;
 };
 
-struct ServeGateResult {
-  // False when the candidate has no serve series with latency data —
-  // nothing to gate (e.g. a replay-only perf_harness document).
-  bool applicable = false;
-  bool passed = true;
-  std::vector<std::string> failures;  // One line per violated check.
-  std::vector<std::string> notes;     // Skipped checks, context.
-};
-
-// Evaluates the serve-latency gate over `candidate`. `baseline` may be null
-// (single-document mode: presence/sanity/ordering checks only).
-ServeGateResult EvaluateServeGate(const BenchReport& candidate,
-                                  const BenchReport* baseline = nullptr,
-                                  const ServeGateOptions& options = {});
+// Evaluates the serve-latency gate over `candidate`. Not applicable when the
+// candidate has no serve series with latency data (e.g. a replay-only
+// perf_harness document). `baseline` may be null (single-document mode:
+// presence/sanity/ordering checks only).
+GateResult EvaluateServeGate(const BenchReport& candidate,
+                             const BenchReport* baseline = nullptr,
+                             const ServeGateOptions& options = {});
 
 }  // namespace coopfs
 

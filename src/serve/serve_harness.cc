@@ -11,7 +11,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/common/completion_queue.h"
 #include "src/common/rng.h"
 #include "src/common/sketch.h"
 #include "src/engine/cache_engine.h"
@@ -28,12 +27,11 @@ namespace {
 // 50 us keeps the simulated storm on the same time scale as replayed traces.
 constexpr Micros kTicketSpacingUs = 50;
 
-// One finished request, pushed by a client thread and drained by the stats
-// thread.
-struct Completion {
-  double latency_us = 0.0;
-  std::uint8_t level = 0;  // CacheLevel for gets; ignored for puts.
-  bool is_get = true;
+// Counted latencies recorded by one client thread, merged after join. Own
+// cache lines per thread, so appends never contend.
+struct alignas(64) ThreadSamples {
+  std::array<std::vector<double>, kNumCacheLevels> gets;  // By CacheLevel.
+  std::vector<double> puts;
 };
 
 // One request drawn from the configured key mix.
@@ -267,7 +265,7 @@ Result<ServeReport> RunServe(const ServeOptions& options) {
   CacheEngine engine(config, options.num_clients,
                      [kind, params] { return MakePolicy(kind, params); }, shards);
   // The storm has no warm-up/measurement clock of its own inside the engine;
-  // the harness drops warm-up completions before they reach the stats thread.
+  // client threads drop warm-up latencies before recording them.
   engine.SetAccounting(true);
 
   // Key-mix inputs shared read-only across threads.
@@ -296,40 +294,8 @@ Result<ServeReport> RunServe(const ServeOptions& options) {
     ++warmup_budget[t];
   }
 
-  CompletionQueue<Completion> completions(options.completion_queue_capacity);
   std::atomic<std::uint64_t> ticket{0};
-  std::atomic<bool> producers_done{false};
-
-  // The stats thread drains completions into per-class sample vectors while
-  // the storm runs, so the bounded ring never needs to hold the whole run.
-  std::array<std::vector<double>, kNumCacheLevels> get_samples;
-  std::vector<double> put_samples;
-  std::thread drain([&] {
-    Completion completion;
-    for (;;) {
-      if (completions.TryPop(&completion)) {
-        if (completion.is_get) {
-          get_samples[completion.level].push_back(completion.latency_us);
-        } else {
-          put_samples.push_back(completion.latency_us);
-        }
-        continue;
-      }
-      if (producers_done.load(std::memory_order_acquire)) {
-        // Producers have stopped; one more empty pop means fully drained.
-        if (!completions.TryPop(&completion)) {
-          break;
-        }
-        if (completion.is_get) {
-          get_samples[completion.level].push_back(completion.latency_us);
-        } else {
-          put_samples.push_back(completion.latency_us);
-        }
-        continue;
-      }
-      std::this_thread::yield();
-    }
-  });
+  std::vector<ThreadSamples> samples(threads);
 
   const auto storm_start = std::chrono::steady_clock::now();
   std::vector<std::thread> clients;
@@ -344,26 +310,23 @@ Result<ServeReport> RunServe(const ServeOptions& options) {
                                ticket.fetch_add(1, std::memory_order_relaxed)) *
                            kTicketSpacingUs;
         const auto op_start = std::chrono::steady_clock::now();
-        Completion completion;
-        completion.is_get = request.is_get;
+        std::vector<double>* sink = &samples[t].puts;
+        double latency_us = 0.0;
         if (request.is_get) {
           const EngineOutcome outcome = engine.Lookup(request.client, request.block, now);
-          completion.level = static_cast<std::uint8_t>(outcome.read.level);
-          completion.latency_us = static_cast<double>(outcome.latency_us);
+          sink = &samples[t].gets[static_cast<std::size_t>(outcome.read.level)];
+          latency_us = static_cast<double>(outcome.latency_us);
         } else {
-          completion.latency_us =
-              static_cast<double>(engine.Admit(request.client, request.block, now));
+          latency_us = static_cast<double>(engine.Admit(request.client, request.block, now));
         }
         const auto op_end = std::chrono::steady_clock::now();
-        completion.latency_us +=
+        latency_us +=
             static_cast<double>(std::chrono::duration_cast<std::chrono::nanoseconds>(
                                     op_end - op_start)
                                     .count()) /
             1000.0;
         if (i >= warmup_budget[t]) {
-          while (!completions.TryPush(completion)) {
-            std::this_thread::yield();
-          }
+          sink->push_back(latency_us);
         }
         if (options.think_time_us > 0) {
           std::this_thread::sleep_for(std::chrono::microseconds(options.think_time_us));
@@ -374,9 +337,21 @@ Result<ServeReport> RunServe(const ServeOptions& options) {
   for (std::thread& client : clients) {
     client.join();
   }
-  producers_done.store(true, std::memory_order_release);
-  drain.join();
   const auto storm_end = std::chrono::steady_clock::now();
+
+  // Merge the per-thread samples; ComputeStats sorts, so quantiles are exact
+  // and independent of merge order.
+  std::array<std::vector<double>, kNumCacheLevels> get_samples;
+  std::vector<double> put_samples;
+  for (ThreadSamples& thread_samples : samples) {
+    for (std::size_t level = 0; level < kNumCacheLevels; ++level) {
+      get_samples[level].insert(get_samples[level].end(), thread_samples.gets[level].begin(),
+                                thread_samples.gets[level].end());
+    }
+    put_samples.insert(put_samples.end(), thread_samples.puts.begin(),
+                       thread_samples.puts.end());
+  }
+  samples = {};  // Release the per-thread copies before the aggregates below.
 
   ServeReport report;
   report.policy_name = PolicyKindName(options.policy);

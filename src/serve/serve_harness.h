@@ -2,9 +2,9 @@
 //
 // RunServe models a live cooperative-caching deployment: N closed-loop
 // client threads issue get/put requests against shared manager/peer state (a
-// sharded CacheEngine), and a drain thread aggregates completions pulled off
-// the lock-free Vyukov MPMC completion queue (src/common/completion_queue.h)
-// into per-level latency distributions.
+// sharded CacheEngine). Each thread records its counted latencies in its own
+// per-level sample vectors; they are merged into per-level latency
+// distributions after the threads join.
 //
 // Latency methodology (docs/serving.md): each completed operation is charged
 //
@@ -89,10 +89,6 @@ struct ServeOptions {
   // Cache capacities and timing constants. num_clients above overrides
   // config.num_clients.
   SimulationConfig config;
-
-  // Completion ring capacity (rounded up to a power of two). Producers spin
-  // with yield when full, so this bounds memory, not correctness.
-  std::uint32_t completion_queue_capacity = 1u << 16;
 };
 
 // Latency distribution of one operation class, in modeled+measured

@@ -89,10 +89,6 @@ struct SimulationConfig {
   WritePolicy write_policy = WritePolicy::kWriteThrough;
   Micros write_delay = 30'000'000;  // Sprite's classic 30 s delay.
 
-  // If > 0, collect a time series of read metrics bucketed into intervals
-  // of this many simulated microseconds (SimulationResult::timeline).
-  Micros timeline_interval = 0;
-
   // Collect the lightweight replay counters (SimulationResult::counters:
   // events replayed, forwards, recirculations, invalidations, directory
   // ops). When false no counter is touched on any path.

@@ -49,7 +49,7 @@ BenchReport HealthyReport() {
   return report;
 }
 
-bool AnyFailureContains(const ScalingGateResult& result, const std::string& needle) {
+bool AnyFailureContains(const GateResult& result, const std::string& needle) {
   for (const std::string& failure : result.failures) {
     if (failure.find(needle) != std::string::npos) {
       return true;
@@ -62,7 +62,7 @@ TEST(ScalingGateTest, NotApplicableWithoutSweepSeries) {
   BenchReport report;
   report.host_threads = 4;
   report.series.push_back(Series("replay_serial_nchance", 100.0));
-  const ScalingGateResult result = EvaluateScalingGate(report);
+  const GateResult result = EvaluateScalingGate(report);
   EXPECT_FALSE(result.applicable);
   EXPECT_TRUE(result.passed);
   EXPECT_TRUE(result.failures.empty());
@@ -72,13 +72,13 @@ TEST(ScalingGateTest, NotApplicableWithOnlySerialSweep) {
   BenchReport report;
   report.host_threads = 4;
   report.series.push_back(Series("parallel_sweep_1t", 100.0));
-  const ScalingGateResult result = EvaluateScalingGate(report);
+  const GateResult result = EvaluateScalingGate(report);
   EXPECT_FALSE(result.applicable);
   EXPECT_TRUE(result.passed);
 }
 
 TEST(ScalingGateTest, PassesHealthyCurve) {
-  const ScalingGateResult result = EvaluateScalingGate(HealthyReport());
+  const GateResult result = EvaluateScalingGate(HealthyReport());
   EXPECT_TRUE(result.applicable);
   EXPECT_TRUE(result.passed);
   EXPECT_TRUE(result.failures.empty());
@@ -89,7 +89,7 @@ TEST(ScalingGateTest, FailsWhenTwoThreadSpeedupMissesFloor) {
   report.series[1].ops_per_sec = 120.0;  // 1.2x < 0.85 x 2 = 1.7x.
   report.series[2].ops_per_sec = 130.0;  // Keep the curve monotonic so the
   report.series[3].ops_per_sec = 135.0;  // floor is the only violation.
-  const ScalingGateResult result = EvaluateScalingGate(report);
+  const GateResult result = EvaluateScalingGate(report);
   EXPECT_TRUE(result.applicable);
   EXPECT_FALSE(result.passed);
   ASSERT_EQ(result.failures.size(), 1u);
@@ -100,7 +100,7 @@ TEST(ScalingGateTest, FailsWhenTwoThreadSpeedupMissesFloor) {
 TEST(ScalingGateTest, FailsWhenWiderWidthCollapses) {
   BenchReport report = HealthyReport();
   report.series[3].ops_per_sec = 150.0;  // 8t < 0.90 x best-so-far (320).
-  const ScalingGateResult result = EvaluateScalingGate(report);
+  const GateResult result = EvaluateScalingGate(report);
   EXPECT_TRUE(result.applicable);
   EXPECT_FALSE(result.passed);
   EXPECT_TRUE(AnyFailureContains(result, "parallel_sweep_8t"));
@@ -110,7 +110,7 @@ TEST(ScalingGateTest, FailsWhenWiderWidthCollapses) {
 TEST(ScalingGateTest, FailsWithoutHostThreadsWhenApplicable) {
   BenchReport report = HealthyReport();
   report.host_threads = 0;
-  const ScalingGateResult result = EvaluateScalingGate(report);
+  const GateResult result = EvaluateScalingGate(report);
   EXPECT_TRUE(result.applicable);
   EXPECT_FALSE(result.passed);
   EXPECT_TRUE(AnyFailureContains(result, "host_threads"));
@@ -121,7 +121,7 @@ TEST(ScalingGateTest, FailsWhenTwoThreadSeriesMissing) {
   report.host_threads = 4;
   report.series.push_back(Series("parallel_sweep_1t", 100.0));
   report.series.push_back(Series("parallel_sweep_4t", 320.0));
-  const ScalingGateResult result = EvaluateScalingGate(report);
+  const GateResult result = EvaluateScalingGate(report);
   EXPECT_TRUE(result.applicable);
   EXPECT_FALSE(result.passed);
   EXPECT_TRUE(AnyFailureContains(result, "parallel_sweep_2t"));
@@ -130,7 +130,7 @@ TEST(ScalingGateTest, FailsWhenTwoThreadSeriesMissing) {
 TEST(ScalingGateTest, FailsOnZeroSerialThroughput) {
   BenchReport report = HealthyReport();
   report.series[0].ops_per_sec = 0.0;
-  const ScalingGateResult result = EvaluateScalingGate(report);
+  const GateResult result = EvaluateScalingGate(report);
   EXPECT_TRUE(result.applicable);
   EXPECT_FALSE(result.passed);
 }
@@ -144,14 +144,14 @@ TEST(ScalingGateTest, OneCoreHostUsesDegradedFloor) {
   report.series[1].ops_per_sec = 95.0;
   report.series[2].ops_per_sec = 95.0;
   report.series[3].ops_per_sec = 94.0;
-  const ScalingGateResult near_parity = EvaluateScalingGate(report);
+  const GateResult near_parity = EvaluateScalingGate(report);
   EXPECT_TRUE(near_parity.applicable);
   EXPECT_TRUE(near_parity.passed)
       << (near_parity.failures.empty() ? std::string() : near_parity.failures[0]);
   EXPECT_FALSE(near_parity.notes.empty());
 
   report.series[1].ops_per_sec = 50.0;
-  const ScalingGateResult convoy = EvaluateScalingGate(report);
+  const GateResult convoy = EvaluateScalingGate(report);
   EXPECT_FALSE(convoy.passed);
   EXPECT_TRUE(AnyFailureContains(convoy, "parallel_sweep_2t/1t"));
 }
@@ -202,7 +202,7 @@ TEST(ObsGateTest, NotApplicableWithoutBoundedSeries) {
   BenchReport report;
   report.host_threads = 4;
   report.series.push_back(Series("replay_serial_nchance", 100.0));
-  const ObsGateResult result = EvaluateObsGate(report);
+  const GateResult result = EvaluateObsGate(report);
   EXPECT_FALSE(result.applicable);
   EXPECT_TRUE(result.passed);
   EXPECT_TRUE(result.failures.empty());
@@ -211,20 +211,20 @@ TEST(ObsGateTest, NotApplicableWithoutBoundedSeries) {
 TEST(ObsGateTest, NotApplicableWithoutBaselineSeries) {
   BenchReport report;
   report.series.push_back(Series(kObsGateBoundedSeries, 90.0));
-  const ObsGateResult result = EvaluateObsGate(report);
+  const GateResult result = EvaluateObsGate(report);
   EXPECT_FALSE(result.applicable);
   EXPECT_TRUE(result.passed);
 }
 
 TEST(ObsGateTest, PassesWithinOverheadCeiling) {
   // 90/100 = 0.90x >= the default 0.85x floor.
-  const ObsGateResult result = EvaluateObsGate(ObsReport(100.0, 90.0));
+  const GateResult result = EvaluateObsGate(ObsReport(100.0, 90.0));
   EXPECT_TRUE(result.applicable);
   EXPECT_TRUE(result.passed) << (result.failures.empty() ? "" : result.failures[0]);
 }
 
 TEST(ObsGateTest, FailsBeyondOverheadCeiling) {
-  const ObsGateResult result = EvaluateObsGate(ObsReport(100.0, 70.0));
+  const GateResult result = EvaluateObsGate(ObsReport(100.0, 70.0));
   EXPECT_TRUE(result.applicable);
   EXPECT_FALSE(result.passed);
   ASSERT_EQ(result.failures.size(), 1u);
@@ -233,7 +233,7 @@ TEST(ObsGateTest, FailsBeyondOverheadCeiling) {
 }
 
 TEST(ObsGateTest, FailsOnZeroBaselineThroughput) {
-  const ObsGateResult result = EvaluateObsGate(ObsReport(0.0, 90.0));
+  const GateResult result = EvaluateObsGate(ObsReport(0.0, 90.0));
   EXPECT_TRUE(result.applicable);
   EXPECT_FALSE(result.passed);
 }

@@ -34,7 +34,6 @@ class MetricsExporterTest : public ::testing::Test {
     SimulationConfig config;
     config.WithClientCacheMiB(1).WithServerCacheMiB(4);
     config.warmup_events = trace_->size() / 4;
-    config.timeline_interval = 60'000'000;
     return config;
   }
 
@@ -120,11 +119,6 @@ TEST_F(MetricsExporterTest, ExportedFieldsMatchResult) {
                   per_client->items()[c].FindNumber("reads")->AsInt()),
               result.per_client[c].reads);
   }
-
-  // Timeline series present when collected.
-  const JsonValue* timeline = json.FindArray("timeline");
-  ASSERT_NE(timeline, nullptr);
-  EXPECT_EQ(timeline->items().size(), result.timeline.size());
 }
 
 TEST_F(MetricsExporterTest, CountersDisabledExportsZeros) {
@@ -155,7 +149,6 @@ TEST_F(MetricsExporterTest, SerializationIsDeterministic) {
 TEST_F(MetricsExporterTest, OptionsTrimSections) {
   MetricsExportOptions options;
   options.include_per_client = false;
-  options.include_timeline = false;
   options.include_histogram = false;
   MetricsExporter exporter(options);
   exporter.AddResult(RunPolicy(PolicyKind::kBaseline));
@@ -164,7 +157,6 @@ TEST_F(MetricsExporterTest, OptionsTrimSections) {
   const Result<JsonValue> parsed = ParseJson(document);
   const JsonValue& json = parsed->FindArray("results")->items().front();
   EXPECT_EQ(json.Find("per_client"), nullptr);
-  EXPECT_EQ(json.Find("timeline"), nullptr);
   EXPECT_EQ(json.Find("latency"), nullptr);
 }
 

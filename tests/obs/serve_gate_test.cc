@@ -62,14 +62,14 @@ TEST(ServeGateTest, NotApplicableWithoutServeSeries) {
   replay.ops_per_sec = 5e6;
   report.series.push_back(replay);
 
-  const ServeGateResult result = EvaluateServeGate(report);
+  const GateResult result = EvaluateServeGate(report);
   EXPECT_FALSE(result.applicable);
   EXPECT_TRUE(result.passed);
   EXPECT_TRUE(result.failures.empty());
 }
 
 TEST(ServeGateTest, WellFormedDocumentPasses) {
-  const ServeGateResult result = EvaluateServeGate(GoodServeReport());
+  const GateResult result = EvaluateServeGate(GoodServeReport());
   EXPECT_TRUE(result.applicable);
   EXPECT_TRUE(result.passed) << (result.failures.empty() ? "" : result.failures.front());
 }
@@ -79,7 +79,7 @@ TEST(ServeGateTest, MissingLocalSeriesFails) {
   // Drop serve_get_local: a storm that never hits the local cache is a
   // misconfigured measurement.
   report.series.erase(report.series.begin() + 1);
-  const ServeGateResult result = EvaluateServeGate(report);
+  const GateResult result = EvaluateServeGate(report);
   EXPECT_TRUE(result.applicable);
   EXPECT_FALSE(result.passed);
   ASSERT_FALSE(result.failures.empty());
@@ -89,7 +89,7 @@ TEST(ServeGateTest, MissingLocalSeriesFails) {
 TEST(ServeGateTest, NonMonotonicQuantilesFail) {
   BenchReport report = GoodServeReport();
   report.series[1].latency->p999_us = 100.0;  // p999 < p99 on serve_get_local.
-  const ServeGateResult result = EvaluateServeGate(report);
+  const GateResult result = EvaluateServeGate(report);
   EXPECT_FALSE(result.passed);
   bool found = false;
   for (const std::string& failure : result.failures) {
@@ -102,7 +102,7 @@ TEST(ServeGateTest, InvertedHierarchyOrderingFails) {
   BenchReport report = GoodServeReport();
   // Local median slower than the disk median: the hierarchy is inverted.
   report.series[1].latency = MakeLatency(6'000, 20'000, 20'100, 20'200);
-  const ServeGateResult result = EvaluateServeGate(report);
+  const GateResult result = EvaluateServeGate(report);
   EXPECT_FALSE(result.passed);
   bool found = false;
   for (const std::string& failure : result.failures) {
@@ -114,7 +114,7 @@ TEST(ServeGateTest, InvertedHierarchyOrderingFails) {
 TEST(ServeGateTest, UntraffickedLevelsAreNotedNotFailed) {
   BenchReport report = GoodServeReport();
   report.series[2].latency->count = 0;  // No remote-client traffic this run.
-  const ServeGateResult result = EvaluateServeGate(report);
+  const GateResult result = EvaluateServeGate(report);
   EXPECT_TRUE(result.passed) << (result.failures.empty() ? "" : result.failures.front());
   EXPECT_FALSE(result.notes.empty());
 }
@@ -125,7 +125,7 @@ TEST(ServeGateTest, BaselineP99RegressionFailsBeyondSlack) {
   candidate.series[1].latency->p99_us = 260.0 * 2.0;  // 2x the baseline p99.
   candidate.series[1].latency->p999_us = 260.0 * 2.0;
 
-  const ServeGateResult result = EvaluateServeGate(candidate, &baseline);
+  const GateResult result = EvaluateServeGate(candidate, &baseline);
   EXPECT_FALSE(result.passed);
   bool found = false;
   for (const std::string& failure : result.failures) {
@@ -137,7 +137,7 @@ TEST(ServeGateTest, BaselineP99RegressionFailsBeyondSlack) {
   // A looser ceiling admits the same candidate.
   ServeGateOptions loose;
   loose.max_p99_regression = 1.5;
-  const ServeGateResult relaxed = EvaluateServeGate(candidate, &baseline, loose);
+  const GateResult relaxed = EvaluateServeGate(candidate, &baseline, loose);
   EXPECT_TRUE(relaxed.passed)
       << (relaxed.failures.empty() ? "" : relaxed.failures.front());
 }
@@ -148,7 +148,7 @@ TEST(ServeGateTest, BaselineWithinSlackPasses) {
   candidate.series[1].latency->p99_us = 260.0 * 1.2;  // +20% < default 50% slack.
   candidate.series[1].latency->p999_us = 260.0 * 1.3;
 
-  const ServeGateResult result = EvaluateServeGate(candidate, &baseline);
+  const GateResult result = EvaluateServeGate(candidate, &baseline);
   EXPECT_TRUE(result.passed) << (result.failures.empty() ? "" : result.failures.front());
 }
 

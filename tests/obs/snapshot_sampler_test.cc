@@ -116,6 +116,21 @@ TEST(SnapshotSamplerScriptedTest, WindowsTriggersAndEventCounts) {
   const auto disk = static_cast<std::size_t>(CacheLevel::kServerDisk);
   EXPECT_EQ(run.samples[0].level_reads[disk], 3u);
   EXPECT_EQ(run.samples[1].level_reads[disk], 2u);
+
+  // Same spacing, but re-reading f1: the first window holds one disk fill
+  // and two local hits, so its mean charged latency is their Figure 3 mix.
+  TraceBuilder rereads;
+  rereads.Read(0, 1).Read(0, 1).Read(0, 1).Read(0, 2).Read(0, 2);
+  SnapshotSampler reread_sampler;
+  config.snapshot_sampler = &reread_sampler;
+  Simulator reread_simulator(config, &rereads.Build());
+  auto reread_policy = MakePolicy(PolicyKind::kBaseline);
+  ASSERT_TRUE(reread_simulator.Run(*reread_policy).ok());
+  const StateSample& first = reread_sampler.runs()[0].samples[0];
+  ASSERT_EQ(first.CountedReads(), 3u);
+  EXPECT_EQ(first.level_reads[disk], 1u);
+  EXPECT_NEAR(first.CountedTimeUs() / static_cast<double>(first.CountedReads()),
+              (15'850.0 + 250.0 + 250.0) / 3.0, 1e-9);
 }
 
 TEST(SnapshotSamplerScriptedTest, QuietWindowsEmitExplicitZeroReadSamples) {
@@ -310,48 +325,6 @@ TEST_F(SnapshotSamplerTest, AttachingSamplerDoesNotPerturbSimulation) {
     EXPECT_DOUBLE_EQ(sampled.level_time_us[level], baseline->level_time_us[level]);
   }
   EXPECT_EQ(sampled.server_load.TotalUnits(), baseline->server_load.TotalUnits());
-}
-
-// ---- Legacy timeline unification ----
-
-TEST_F(SnapshotSamplerTest, LegacyTimelineAgreesWithSamplerWindows) {
-  const Micros interval = TraceSpan() / 7;
-  SnapshotSampler sampler;
-  SimulationConfig config = TestConfig();
-  config.snapshot_sampler = &sampler;
-  config.sample_interval = interval;
-  config.timeline_interval = interval;
-  Simulator simulator(config, trace_);
-  auto policy = MakePolicy(PolicyKind::kNChance);
-  Result<SimulationResult> result = simulator.Run(*policy);
-  ASSERT_TRUE(result.ok());
-
-  // Every timeline point corresponds to a sampler window with counted reads
-  // (the sampler additionally keeps zero-read windows and the warm-up-end
-  // split, so it has at least as many samples).
-  std::vector<const StateSample*> counted;
-  for (const StateSample& sample : sampler.runs()[0].samples) {
-    if (sample.trigger != SampleTrigger::kWarmupEnd && sample.CountedReads() > 0) {
-      counted.push_back(&sample);
-    }
-  }
-  // The sampler splits one interval at the warm-up boundary; merge that
-  // window's counts into its interval before comparing. With warm-up at 1/4
-  // of the trace and 1/7 intervals the warm-up-end sample has zero counted
-  // reads, so the filtered list lines up one-to-one.
-  ASSERT_EQ(result->timeline.size(), counted.size());
-  for (std::size_t i = 0; i < counted.size(); ++i) {
-    EXPECT_EQ(result->timeline[i].reads, counted[i]->CountedReads()) << "point " << i;
-    if (counted[i]->trigger == SampleTrigger::kInterval) {
-      EXPECT_EQ(result->timeline[i].end_time, counted[i]->time) << "point " << i;
-    } else {
-      EXPECT_GT(result->timeline[i].end_time, counted[i]->time) << "point " << i;
-    }
-    EXPECT_DOUBLE_EQ(result->timeline[i].avg_read_time_us,
-                     counted[i]->CountedTimeUs() /
-                         static_cast<double>(counted[i]->CountedReads()))
-        << "point " << i;
-  }
 }
 
 // ---- Determinism ----

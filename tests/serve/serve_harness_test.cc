@@ -96,7 +96,7 @@ TEST(ServeHarnessTest, BenchDocumentRoundTripsAndPassesServeGate) {
   EXPECT_EQ(total->latency->count, report->ops);
   EXPECT_DOUBLE_EQ(total->latency->p999_us, report->total.p999_us);
 
-  const ServeGateResult gate = EvaluateServeGate(*parsed);
+  const GateResult gate = EvaluateServeGate(*parsed);
   EXPECT_TRUE(gate.applicable);
   EXPECT_TRUE(gate.passed) << (gate.failures.empty() ? "" : gate.failures.front());
 }

@@ -57,6 +57,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -103,7 +104,8 @@ const BenchSeries* FindByName(const std::vector<BenchSeries>& series,
 
 bool IsGated(std::string_view name) { return name.rfind("replay_", 0) == 0; }
 
-// The >10%-slower replay gate (two-document mode). Appends failure lines.
+// The >10%-slower replay gate (two-document mode). Appends tagged failure
+// lines.
 void CheckReplayRegressions(const BenchReport& baseline, const BenchReport& candidate,
                             double threshold_pct, std::vector<std::string>* failures) {
   TableFormatter table({"Series", "Baseline", "Candidate", "Delta", "Gate"});
@@ -111,7 +113,7 @@ void CheckReplayRegressions(const BenchReport& baseline, const BenchReport& cand
     const BenchSeries* cand = FindByName(candidate.series, base.name);
     if (cand == nullptr) {
       if (IsGated(base.name)) {
-        failures->push_back(base.name + ": missing from candidate");
+        failures->push_back("REGRESSION " + base.name + ": missing from candidate");
       }
       continue;
     }
@@ -125,7 +127,7 @@ void CheckReplayRegressions(const BenchReport& baseline, const BenchReport& cand
                   FormatDouble(delta_pct, 1) + " %",
                   regressed ? "FAIL" : (gated ? "ok" : "-")});
     if (regressed) {
-      failures->push_back(base.name + ": " + FormatDouble(-delta_pct, 1) +
+      failures->push_back("REGRESSION " + base.name + ": " + FormatDouble(-delta_pct, 1) +
                           "% slower (baseline " +
                           FormatDouble(base.ops_per_sec / 1e6, 2) + " M/s -> candidate " +
                           FormatDouble(cand->ops_per_sec / 1e6, 2) + " M/s, threshold " +
@@ -134,6 +136,15 @@ void CheckReplayRegressions(const BenchReport& baseline, const BenchReport& cand
   }
   std::printf("%s", table.ToString().c_str());
 }
+
+// One row of the gate table: a document gate run after the replay check.
+struct Gate {
+  const char* tag;  // Failure lines print as "bench_compare: <tag> <failure>".
+  bool enabled;
+  std::function<GateResult()> evaluate;
+  std::string pass_line;
+  const char* not_applicable_line;
+};
 
 // One "git <sha> (<build>, <N> host threads)" provenance line per document,
 // printed with the failure block so CI logs are self-contained.
@@ -265,74 +276,44 @@ int Run(int argc, char** argv) {
     }
   }
 
-  if (scaling_gate_enabled) {
-    const ScalingGateResult gate = EvaluateScalingGate(*candidate, scaling);
-    for (const std::string& note : gate.notes) {
+  const Gate gates[] = {
+      {"SCALING", scaling_gate_enabled, [&] { return EvaluateScalingGate(*candidate, scaling); },
+       "scaling gate passed (floor " + FormatDouble(scaling.efficiency_floor, 2) +
+           ", monotonicity tolerance " + FormatDouble(scaling.monotonicity_tolerance, 2) + ")",
+       "scaling gate not applicable (no sweep series)"},
+      {"OBS", obs_gate_enabled, [&] { return EvaluateObsGate(*candidate, obs); },
+       "obs gate passed (overhead ceiling " + FormatDouble(obs.max_overhead, 2) + ")",
+       "obs gate not applicable (no bounded-metrics series)"},
+      {"SERVE", serve_gate_enabled,
+       [&] {
+         return EvaluateServeGate(*candidate, baseline.has_value() ? &*baseline : nullptr,
+                                  serve);
+       },
+       "serve gate passed (p99 slack " + FormatDouble(serve.max_p99_regression, 2) + ")",
+       "serve gate not applicable (no serve series)"},
+  };
+  for (const Gate& gate : gates) {
+    if (!gate.enabled) {
+      continue;
+    }
+    const GateResult result = gate.evaluate();
+    for (const std::string& note : result.notes) {
       std::printf("bench_compare: note: %s\n", note.c_str());
     }
-    if (!gate.applicable) {
-      std::printf("bench_compare: scaling gate not applicable (no sweep series)\n");
-    } else if (gate.passed) {
-      std::printf(
-          "bench_compare: scaling gate passed (floor %s, monotonicity tolerance %s)\n",
-          FormatDouble(scaling.efficiency_floor, 2).c_str(),
-          FormatDouble(scaling.monotonicity_tolerance, 2).c_str());
+    if (!result.applicable) {
+      std::printf("bench_compare: %s\n", gate.not_applicable_line);
+    } else if (result.passed) {
+      std::printf("bench_compare: %s\n", gate.pass_line.c_str());
     } else {
-      for (const std::string& failure : gate.failures) {
-        failures.push_back("scaling: " + failure);
-      }
-    }
-  }
-
-  if (obs_gate_enabled) {
-    const ObsGateResult gate = EvaluateObsGate(*candidate, obs);
-    for (const std::string& note : gate.notes) {
-      std::printf("bench_compare: note: %s\n", note.c_str());
-    }
-    if (!gate.applicable) {
-      std::printf("bench_compare: obs gate not applicable (no bounded-metrics series)\n");
-    } else if (gate.passed) {
-      std::printf("bench_compare: obs gate passed (overhead ceiling %s)\n",
-                  FormatDouble(obs.max_overhead, 2).c_str());
-    } else {
-      for (const std::string& failure : gate.failures) {
-        failures.push_back("obs: " + failure);
-      }
-    }
-  }
-
-  if (serve_gate_enabled) {
-    const ServeGateResult gate = EvaluateServeGate(
-        *candidate, baseline.has_value() ? &*baseline : nullptr, serve);
-    for (const std::string& note : gate.notes) {
-      std::printf("bench_compare: note: %s\n", note.c_str());
-    }
-    if (!gate.applicable) {
-      std::printf("bench_compare: serve gate not applicable (no serve series)\n");
-    } else if (gate.passed) {
-      std::printf("bench_compare: serve gate passed (p99 slack %s)\n",
-                  FormatDouble(serve.max_p99_regression, 2).c_str());
-    } else {
-      for (const std::string& failure : gate.failures) {
-        failures.push_back("serve: " + failure);
+      for (const std::string& failure : result.failures) {
+        failures.push_back(std::string(gate.tag) + " " + failure);
       }
     }
   }
 
   if (!failures.empty()) {
     for (const std::string& failure : failures) {
-      if (failure.rfind("scaling: ", 0) == 0) {
-        std::fprintf(stderr, "bench_compare: SCALING %s\n",
-                     failure.c_str() + std::strlen("scaling: "));
-      } else if (failure.rfind("obs: ", 0) == 0) {
-        std::fprintf(stderr, "bench_compare: OBS %s\n",
-                     failure.c_str() + std::strlen("obs: "));
-      } else if (failure.rfind("serve: ", 0) == 0) {
-        std::fprintf(stderr, "bench_compare: SERVE %s\n",
-                     failure.c_str() + std::strlen("serve: "));
-      } else {
-        std::fprintf(stderr, "bench_compare: REGRESSION %s\n", failure.c_str());
-      }
+      std::fprintf(stderr, "bench_compare: %s\n", failure.c_str());
     }
     // Forensics for the failure block: whose builds were compared, and —
     // when both runs shipped sidecars — which spans/windows moved.
