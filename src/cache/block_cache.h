@@ -8,15 +8,27 @@
 // Weighted-LRU.
 //
 // Policies need fine-grained control of replacement (N-Chance's modified
-// victim selection scans from the LRU end), so eviction is explicit: Insert
-// requires free space and callers evict first, either EvictLru() or by
-// scanning with entries in LRU order.
+// victim selection prefers particular kinds of block, oldest first), so
+// eviction is explicit: Insert requires free space and callers evict first,
+// either EvictLru(), by scanning with entries in LRU order, or from one of
+// the eviction-class lists below.
 //
 // Storage layout (replay hot path): entries live in a slab sized to the
 // fixed capacity at construction, so CacheEntry pointers — and the intrusive
 // LRU list nodes they embed — are stable for the cache's lifetime. A
 // FlatHashMap from packed BlockId to slab slot, reserved up front, makes
 // every Find/Touch/Insert/Erase allocation-free and rehash-free.
+//
+// Eviction-class index: besides the LRU list, each entry sits on at most one
+// class list chosen by its N-Chance marks — unmarked entries on one list,
+// recirculating entries on one list per remaining count, flag-marked
+// non-recirculating singlets on none. Every class list is the LRU list
+// filtered to its class (same relative order), so "the oldest unmarked
+// block" or "the oldest block with the fewest recirculations left" is found
+// without stepping past known singlets. The lists link by 32-bit slab slot
+// and fit in CacheEntry's padding. The index only changes how victims are
+// found, never which: SetMarks is the marks' only writer, so the lists
+// cannot drift from the marks.
 #ifndef COOPFS_SRC_CACHE_BLOCK_CACHE_H_
 #define COOPFS_SRC_CACHE_BLOCK_CACHE_H_
 
@@ -32,28 +44,48 @@
 
 namespace coopfs {
 
-struct CacheEntry {
+// Cache-line aligned, so the fields a Touch or Erase writes — the LRU node,
+// the class links, the marks, last_ref — share one line.
+class alignas(64) CacheEntry {
+ public:
   BlockId block;
   IntrusiveListNode lru_node;
-
-  // N-Chance: recirculations remaining. > 0 means this copy is a singlet
-  // recirculating through caches it was forwarded to (global data).
-  std::uint8_t recirculation_count = 0;
-
-  // N-Chance: the client learned this block is the last cached copy but is
-  // holding it as normal local data (no recirculation count set). Spares a
-  // repeat is-singlet query; reset when another client fetches a copy.
-  bool singlet_flag = false;
 
   // Simulated time of the last reference to this copy (Weighted-LRU ages).
   Micros last_ref = 0;
 
   // Delayed-write extension: this copy holds data newer than the server's.
-  bool dirty = false;
   Micros dirty_since = 0;
+  bool dirty = false;
 
-  bool recirculating() const { return recirculation_count > 0; }
+  // N-Chance: recirculations remaining. > 0 means this copy is a singlet
+  // recirculating through caches it was forwarded to (global data).
+  std::uint8_t recirculation_count() const { return recirculation_count_; }
+
+  // N-Chance: the client learned this block is the last cached copy but is
+  // holding it as normal local data (no recirculation count set). Spares a
+  // repeat is-singlet query; reset when another client fetches a copy.
+  bool singlet_flag() const { return singlet_flag_; }
+
+  bool recirculating() const { return recirculation_count_ > 0; }
+
+ private:
+  friend class BlockCache;
+
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+
+  // The marks above; written only by BlockCache::SetMarks.
+  std::uint8_t recirculation_count_ = 0;
+  bool singlet_flag_ = false;
+
+  // Neighbours on this entry's class list, as slab slots (kNoSlot past the
+  // oldest / newest end or when on no list).
+  std::uint32_t class_older_ = kNoSlot;
+  std::uint32_t class_newer_ = kNoSlot;
 };
+
+// The class links fit in what would otherwise be padding.
+static_assert(sizeof(CacheEntry) == 64);
 
 class BlockCache {
  public:
@@ -67,7 +99,9 @@ class BlockCache {
       : capacity_(capacity_blocks),
         slab_(capacity_blocks, ArenaAllocator<CacheEntry>(arena)),
         free_slots_(ArenaAllocator<std::uint32_t>(arena)),
-        index_(arena) {
+        index_(arena),
+        recirculating_(ArenaAllocator<ClassList>(arena)) {
+    assert(capacity_ < CacheEntry::kNoSlot);
     index_.Reserve(capacity_);
     free_slots_.reserve(capacity_);
     // Pop from the back: slots are handed out in ascending order.
@@ -104,12 +138,19 @@ class BlockCache {
     CacheEntry* entry = Find(block);
     if (entry != nullptr) {
       lru_.MoveToFront(entry);
+      if (const std::size_t klass = ClassOf(*entry); klass != kNoClass) {
+        ClassList& list = ListOf(klass);
+        if (list.newest != SlotOf(*entry)) {
+          Unlink(*entry, list);
+          LinkNewest(*entry, list);
+        }
+      }
     }
     return entry;
   }
 
-  // Inserts a new entry at the MRU position. Requires space (callers evict
-  // first) and that the block is not already present.
+  // Inserts a new, unmarked entry at the MRU position. Requires space
+  // (callers evict first) and that the block is not already present.
   CacheEntry& Insert(BlockId block) {
     assert(CanInsert() && !Full());
     auto [slot, inserted] = index_.TryEmplace(block.Pack());
@@ -120,6 +161,7 @@ class BlockCache {
     entry = CacheEntry{};  // Fresh metadata; the slot's node is unlinked.
     entry.block = block;
     lru_.PushFront(&entry);
+    LinkNewest(entry, unmarked_);
     return entry;
   }
 
@@ -130,7 +172,11 @@ class BlockCache {
       return false;
     }
     const std::uint32_t freed = *slot;
-    lru_.Remove(&slab_[freed]);
+    CacheEntry& entry = slab_[freed];
+    if (const std::size_t klass = ClassOf(entry); klass != kNoClass) {
+      Unlink(entry, ListOf(klass));
+    }
+    lru_.Remove(&entry);
     index_.Erase(block.Pack());
     free_slots_.push_back(freed);
     return true;
@@ -151,10 +197,6 @@ class BlockCache {
     Erase(victim->block);
     return copy;
   }
-
-  // Moves an entry (must belong to this cache) to the MRU / LRU position.
-  void MoveToMru(CacheEntry* entry) { lru_.MoveToFront(entry); }
-  void MoveToLru(CacheEntry* entry) { lru_.MoveToBack(entry); }
 
   // Visits entries from LRU to MRU until `visitor` returns true (stop) or
   // `limit` entries have been seen (0 = no limit). Returns the entry the
@@ -186,12 +228,80 @@ class BlockCache {
         [this, &visitor](std::uint64_t, const std::uint32_t& slot) { visitor(slab_[slot]); });
   }
 
+  // ---- N-Chance marks and the eviction-class index ----
+
+  // Class 0 holds unmarked entries; class c >= 1 holds entries with c
+  // recirculations left; kNoClass (flag-marked, non-recirculating singlets)
+  // is on no list.
+  static constexpr std::size_t kUnmarkedClass = 0;
+  static constexpr std::size_t kNoClass = ~std::size_t{0};
+
+  static std::size_t ClassOf(const CacheEntry& entry) {
+    if (entry.recirculating()) {
+      return entry.recirculation_count_;
+    }
+    return entry.singlet_flag_ ? kNoClass : kUnmarkedClass;
+  }
+
+  // Sets `entry`'s N-Chance marks — their only writer — and moves it to its
+  // LRU-order position on the new class list. `entry` must belong to this
+  // cache. O(1) unless the class changes to a non-empty list; then a walk
+  // outward along the LRU list to the nearest same-class neighbour.
+  void SetMarks(CacheEntry& entry, std::uint8_t recirculation_count, bool singlet_flag) {
+    const std::size_t before = ClassOf(entry);
+    entry.recirculation_count_ = recirculation_count;
+    entry.singlet_flag_ = singlet_flag;
+    const std::size_t after = ClassOf(entry);
+    if (before == after) {
+      return;
+    }
+    if (before != kNoClass) {
+      Unlink(entry, ListOf(before));
+    }
+    if (after != kNoClass) {
+      LinkInLruOrder(entry, after);
+    }
+  }
+
+  // Classes that have a list: the unmarked class plus every recirculation
+  // count seen so far (lists are created lazily, up to the policy's n).
+  std::size_t num_classes() const { return 1 + recirculating_.size(); }
+
+  std::size_t ClassSize(std::size_t klass) const {
+    return klass < num_classes() ? ListOf(klass).size : 0;
+  }
+
+  // The oldest entry of `klass`, or nullptr if it has none.
+  CacheEntry* ClassLru(std::size_t klass) {
+    return klass < num_classes() ? EntryAt(ListOf(klass).oldest) : nullptr;
+  }
+
+  // ScanFromLru restricted to one class list, in the same relative order.
+  // The visitor may change the marks of the entry it is visiting (via
+  // SetMarks) but must not otherwise mutate the cache.
+  template <typename Visitor>
+  CacheEntry* ScanClassFromLru(std::size_t klass, Visitor&& visitor) {
+    if (klass >= num_classes()) {
+      return nullptr;
+    }
+    for (CacheEntry* entry = EntryAt(ListOf(klass).oldest); entry != nullptr;) {
+      CacheEntry* newer = EntryAt(entry->class_newer_);
+      if (visitor(*entry)) {
+        return entry;
+      }
+      entry = newer;
+    }
+    return nullptr;
+  }
+
   // ---- Introspection gauges (state sampling; off the hot path) ----
 
   // Entries currently recirculating (N-Chance copies in flight).
   std::size_t RecirculatingCount() const {
     std::size_t count = 0;
-    ForEachEntry([&count](const CacheEntry& entry) { count += entry.recirculating() ? 1 : 0; });
+    for (const ClassList& list : recirculating_) {
+      count += list.size;
+    }
     return count;
   }
 
@@ -209,6 +319,8 @@ class BlockCache {
   void Clear() {
     lru_.Clear();
     index_.Clear();
+    unmarked_ = ClassList{};
+    recirculating_.clear();
     free_slots_.clear();
     for (std::size_t i = capacity_; i > 0; --i) {
       free_slots_.push_back(static_cast<std::uint32_t>(i - 1));
@@ -216,6 +328,13 @@ class BlockCache {
   }
 
  private:
+  // One class list: oldest/newest slab slots and its length.
+  struct ClassList {
+    std::uint32_t oldest = CacheEntry::kNoSlot;
+    std::uint32_t newest = CacheEntry::kNoSlot;
+    std::uint32_t size = 0;
+  };
+
   // Back (LRU) node or nullptr when empty; Prev walks toward MRU.
   IntrusiveListNode* LruNodeBack() {
     CacheEntry* back = lru_.Back();
@@ -226,6 +345,83 @@ class BlockCache {
     return (prev == nullptr || prev->owner == nullptr) ? nullptr : prev;
   }
 
+  std::uint32_t SlotOf(const CacheEntry& entry) const {
+    return static_cast<std::uint32_t>(&entry - slab_.data());
+  }
+  CacheEntry* EntryAt(std::uint32_t slot) {
+    return slot == CacheEntry::kNoSlot ? nullptr : &slab_[slot];
+  }
+
+  ClassList& ListOf(std::size_t klass) {
+    return klass == kUnmarkedClass ? unmarked_ : recirculating_[klass - 1];
+  }
+  const ClassList& ListOf(std::size_t klass) const {
+    return klass == kUnmarkedClass ? unmarked_ : recirculating_[klass - 1];
+  }
+
+  // Links `entry` into `list` between `older` and `newer` (kNoSlot = end).
+  void LinkBetween(CacheEntry& entry, ClassList& list, std::uint32_t older,
+                   std::uint32_t newer) {
+    const std::uint32_t slot = SlotOf(entry);
+    entry.class_older_ = older;
+    entry.class_newer_ = newer;
+    (older == CacheEntry::kNoSlot ? list.oldest : slab_[older].class_newer_) = slot;
+    (newer == CacheEntry::kNoSlot ? list.newest : slab_[newer].class_older_) = slot;
+    ++list.size;
+  }
+  void LinkNewest(CacheEntry& entry, ClassList& list) {
+    LinkBetween(entry, list, list.newest, CacheEntry::kNoSlot);
+  }
+
+  void Unlink(CacheEntry& entry, ClassList& list) {
+    const std::uint32_t older = entry.class_older_;
+    const std::uint32_t newer = entry.class_newer_;
+    (older == CacheEntry::kNoSlot ? list.oldest : slab_[older].class_newer_) = newer;
+    (newer == CacheEntry::kNoSlot ? list.newest : slab_[newer].class_older_) = older;
+    entry.class_older_ = CacheEntry::kNoSlot;
+    entry.class_newer_ = CacheEntry::kNoSlot;
+    --list.size;
+  }
+
+  // Links `entry` (on the LRU list, on no class list) into `klass` at its
+  // LRU-order position. Walks the LRU list outward, one step each way per
+  // round: the first same-class neighbour fixes the position, and reaching
+  // either end of the LRU list first makes `entry` that end of its class.
+  void LinkInLruOrder(CacheEntry& entry, std::size_t klass) {
+    if (klass > recirculating_.size()) {
+      recirculating_.resize(klass);
+    }
+    ClassList& list = ListOf(klass);
+    if (list.size == 0) {
+      LinkNewest(entry, list);
+      return;
+    }
+    const IntrusiveListNode* toward_mru = entry.lru_node.prev;
+    const IntrusiveListNode* toward_lru = entry.lru_node.next;
+    while (true) {
+      if (toward_mru->owner == nullptr) {
+        LinkNewest(entry, list);
+        return;
+      }
+      if (const auto& newer = *static_cast<const CacheEntry*>(toward_mru->owner);
+          ClassOf(newer) == klass) {
+        LinkBetween(entry, list, newer.class_older_, SlotOf(newer));
+        return;
+      }
+      if (toward_lru->owner == nullptr) {
+        LinkBetween(entry, list, CacheEntry::kNoSlot, list.oldest);
+        return;
+      }
+      if (const auto& older = *static_cast<const CacheEntry*>(toward_lru->owner);
+          ClassOf(older) == klass) {
+        LinkBetween(entry, list, SlotOf(older), older.class_newer_);
+        return;
+      }
+      toward_mru = toward_mru->prev;
+      toward_lru = toward_lru->next;
+    }
+  }
+
   std::size_t capacity_;
   // Stable entry storage, one per slot.
   std::vector<CacheEntry, ArenaAllocator<CacheEntry>> slab_;
@@ -233,6 +429,10 @@ class BlockCache {
   std::vector<std::uint32_t, ArenaAllocator<std::uint32_t>> free_slots_;
   FlatHashMap<std::uint64_t, std::uint32_t> index_;  // Packed BlockId -> slot.
   IntrusiveList<CacheEntry, &CacheEntry::lru_node> lru_;
+  // Eviction-class lists: unmarked entries, and entries with c
+  // recirculations left at recirculating_[c - 1].
+  ClassList unmarked_;
+  std::vector<ClassList, ArenaAllocator<ClassList>> recirculating_;
 };
 
 }  // namespace coopfs

@@ -126,11 +126,19 @@ class ArenaAllocator {
     if (arena_ != nullptr) {
       return static_cast<T*>(arena_->Allocate(n * sizeof(T), alignof(T)));
     }
-    return static_cast<T*>(::operator new(n * sizeof(T)));
+    if constexpr (alignof(T) > __STDCPP_DEFAULT_NEW_ALIGNMENT__) {
+      return static_cast<T*>(::operator new(n * sizeof(T), std::align_val_t{alignof(T)}));
+    } else {
+      return static_cast<T*>(::operator new(n * sizeof(T)));
+    }
   }
   void deallocate(T* p, std::size_t) noexcept {
     if (arena_ == nullptr) {
-      ::operator delete(p);
+      if constexpr (alignof(T) > __STDCPP_DEFAULT_NEW_ALIGNMENT__) {
+        ::operator delete(p, std::align_val_t{alignof(T)});
+      } else {
+        ::operator delete(p);
+      }
     }
   }
 

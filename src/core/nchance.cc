@@ -1,19 +1,22 @@
 #include "src/core/nchance.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace coopfs {
 
 void NChancePolicy::OnLocalHit(ClientId client, CacheEntry& entry) {
-  (void)client;
   // Referencing a singlet "resets the block's recirculation count and caches
   // the data normally" (§2.4): the copy becomes ordinary local data.
-  entry.recirculation_count = 0;
+  if (entry.recirculating()) {
+    ctx().client_cache(client).SetMarks(entry, 0, entry.singlet_flag());
+  }
 }
 
 void NChancePolicy::OnRemoteHit(ClientId client, ClientId holder, BlockId block) {
   (void)client;
-  CacheEntry* entry = ctx().client_cache(holder).Find(block);
+  BlockCache& cache = ctx().client_cache(holder);
+  CacheEntry* entry = cache.Find(block);
   assert(entry != nullptr && "directory pointed at a non-holder");
   if (entry == nullptr) {
     return;
@@ -26,7 +29,7 @@ void NChancePolicy::OnRemoteHit(ClientId client, ClientId holder, BlockId block)
   }
   // The block is about to be duplicated at the requester; stale singlet
   // flags would cause pointless recirculation later.
-  entry->singlet_flag = false;
+  cache.SetMarks(*entry, 0, /*singlet_flag=*/false);
 }
 
 void NChancePolicy::OnBlockReplicated(BlockId block) {
@@ -35,9 +38,9 @@ void NChancePolicy::OnBlockReplicated(BlockId block) {
   // A recirculating copy is demoted to normal data: the block is no longer
   // the last cached copy, so protecting it would be pointless.
   for (ClientId holder : ctx().directory().Holders(block)) {
-    if (CacheEntry* entry = ctx().client_cache(holder).Find(block); entry != nullptr) {
-      entry->singlet_flag = false;
-      entry->recirculation_count = 0;
+    BlockCache& cache = ctx().client_cache(holder);
+    if (CacheEntry* entry = cache.Find(block); entry != nullptr) {
+      cache.SetMarks(*entry, 0, false);
     }
   }
 }
@@ -71,8 +74,8 @@ void NChancePolicy::HandleEviction(ClientId client, CacheEntry& victim) {
     // "Any block whose recirculation count is set must be a singlet, so no
     // server message is necessary" — and reaching the LRU end decrements.
     is_singlet = true;
-    count = victim.recirculation_count - 1;
-  } else if (victim.singlet_flag) {
+    count = victim.recirculation_count() - 1;
+  } else if (victim.singlet_flag()) {
     // Previously discovered singlet held as local data: no repeat query.
     is_singlet = true;
     count = n_;
@@ -109,8 +112,9 @@ void NChancePolicy::ReceiveForwarded(ClientId peer, BlockId block, int count) {
   }
   if (CacheEntry* existing = cache.Find(block); existing != nullptr) {
     // Should not happen for a true singlet; tolerate stale flags by merging.
-    existing->recirculation_count =
-        static_cast<std::uint8_t>(std::max<int>(existing->recirculation_count, count));
+    cache.SetMarks(*existing,
+                   static_cast<std::uint8_t>(std::max<int>(existing->recirculation_count(), count)),
+                   existing->singlet_flag());
     return;
   }
   // The "block has moved" update reaches the directory with the forward
@@ -121,8 +125,8 @@ void NChancePolicy::ReceiveForwarded(ClientId peer, BlockId block, int count) {
   }
   CacheEntry& entry = cache.Insert(block);
   // "The peer adds the block to its LRU list as if recently referenced."
-  entry.recirculation_count = static_cast<std::uint8_t>(count);
-  entry.singlet_flag = true;  // Known singlet: never re-queried.
+  // Known singlet: never re-queried.
+  cache.SetMarks(entry, static_cast<std::uint8_t>(count), /*singlet_flag=*/true);
   entry.last_ref = ctx().now();
 }
 
@@ -130,20 +134,19 @@ void NChancePolicy::MakeSpaceWithoutForwarding(ClientId peer) {
   BlockCache& cache = ctx().client_cache(peer);
 
   // First choice: the oldest duplicated block. Recirculating copies and
-  // flag-marked singlets are known singlets (skipped without a query);
-  // unmarked blocks cost one query each — but a discovered singlet gets its
-  // flag set, so it is never queried again (§2.4 optimizations).
-  CacheEntry* dup_victim = cache.ScanFromLru([this, peer](CacheEntry& entry) {
-    if (entry.recirculating() || entry.singlet_flag) {
-      return false;
-    }
-    ctx().ChargeSmallMessages(2);
-    if (ctx().directory().IsDuplicated(entry.block)) {
-      return true;
-    }
-    entry.singlet_flag = true;
-    return false;
-  });
+  // flag-marked singlets are known singlets — never queried, and not on the
+  // unmarked class list this walks. Each unmarked block costs one query, and
+  // a discovered singlet gets its flag set (leaving the list), so it is
+  // never queried again (§2.4 optimizations).
+  CacheEntry* dup_victim =
+      cache.ScanClassFromLru(BlockCache::kUnmarkedClass, [this, &cache](CacheEntry& entry) {
+        ctx().ChargeSmallMessages(2);
+        if (ctx().directory().IsDuplicated(entry.block)) {
+          return true;
+        }
+        cache.SetMarks(entry, 0, /*singlet_flag=*/true);
+        return false;
+      });
   if (dup_victim != nullptr) {
     FlushIfDirty(peer, dup_victim->block);
     DropLocal(peer, dup_victim->block);
@@ -151,19 +154,14 @@ void NChancePolicy::MakeSpaceWithoutForwarding(ClientId peer) {
   }
 
   // Second choice: the oldest recirculating block with the fewest
-  // recirculations remaining.
-  CacheEntry* best = nullptr;
-  cache.ScanFromLru([&best](CacheEntry& entry) {
-    if (entry.recirculating() &&
-        (best == nullptr || entry.recirculation_count < best->recirculation_count)) {
-      best = &entry;
+  // recirculations remaining — the oldest entry of the lowest non-empty
+  // count class.
+  for (std::size_t count = 1; count < cache.num_classes(); ++count) {
+    if (CacheEntry* oldest = cache.ClassLru(count); oldest != nullptr) {
+      FlushIfDirty(peer, oldest->block);
+      DropLocal(peer, oldest->block);
+      return;
     }
-    return false;
-  });
-  if (best != nullptr) {
-    FlushIfDirty(peer, best->block);
-    DropLocal(peer, best->block);
-    return;
   }
 
   // Fallback (cache entirely flag-marked singlets): plain LRU.

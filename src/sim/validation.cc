@@ -1,8 +1,55 @@
 #include "src/sim/validation.h"
 
 #include <string>
+#include <vector>
 
 namespace coopfs {
+
+namespace {
+
+// The eviction-class index: every class list must equal the LRU list
+// filtered to its class, which puts each entry on exactly the list its
+// N-Chance marks select (and flag-marked singlets on none).
+Status CheckClassIndex(BlockCache& cache, std::uint32_t client) {
+  const std::string where = "client " + std::to_string(client) + " ";
+  std::vector<std::vector<const CacheEntry*>> expected(cache.num_classes());
+  Status status = Status::Ok();
+  cache.ScanFromLru([&](const CacheEntry& entry) {
+    const std::size_t klass = BlockCache::ClassOf(entry);
+    if (klass == BlockCache::kNoClass) {
+      return false;
+    }
+    if (klass >= expected.size()) {
+      status = Status::Internal(where + "has no class list for " + entry.block.ToString() +
+                                " (class " + std::to_string(klass) + ")");
+      return true;
+    }
+    expected[klass].push_back(&entry);
+    return false;
+  });
+  if (!status.ok()) {
+    return status;
+  }
+  for (std::size_t klass = 0; klass < expected.size(); ++klass) {
+    const std::vector<const CacheEntry*>& want = expected[klass];
+    std::size_t seen = 0;
+    bool match = true;
+    cache.ScanClassFromLru(klass, [&](const CacheEntry& entry) {
+      match = seen < want.size() && want[seen] == &entry;
+      ++seen;
+      return !match;
+    });
+    if (!match || seen != want.size() || cache.ClassSize(klass) != want.size()) {
+      return Status::Internal(where + "class list " + std::to_string(klass) +
+                              " is not its LRU-order filter (" + std::to_string(want.size()) +
+                              " entries expected, size " +
+                              std::to_string(cache.ClassSize(klass)) + ")");
+    }
+  }
+  return Status::Ok();
+}
+
+}  // namespace
 
 Status CheckCacheDirectoryConsistency(SimContext& context) {
   // Caches -> directory, capacity, and N-Chance metadata.
@@ -28,7 +75,7 @@ Status CheckCacheDirectoryConsistency(SimContext& context) {
                                   entry.block.ToString() + " but is not a directory holder");
         return;
       }
-      if ((entry.recirculating() || entry.singlet_flag) && holders.size() != 1) {
+      if ((entry.recirculating() || entry.singlet_flag()) && holders.size() != 1) {
         status = Status::Internal("client " + std::to_string(c) + " holds " +
                                   entry.block.ToString() +
                                   " marked singlet but it has " +
@@ -36,6 +83,9 @@ Status CheckCacheDirectoryConsistency(SimContext& context) {
       }
     });
     if (!status.ok()) {
+      return status;
+    }
+    if (status = CheckClassIndex(cache, c); !status.ok()) {
       return status;
     }
   }

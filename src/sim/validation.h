@@ -13,7 +13,9 @@ namespace coopfs {
 //   * every directory holder entry corresponds to a cached block;
 //   * no cache exceeds its capacity;
 //   * N-Chance metadata is coherent: a copy that is recirculating or
-//     flag-marked singlet really is the only client copy.
+//     flag-marked singlet really is the only client copy;
+//   * each client cache's eviction-class index matches its marks: every
+//     class list is the LRU list filtered to that class.
 // Returns the first violation found.
 Status CheckCacheDirectoryConsistency(SimContext& context);
 

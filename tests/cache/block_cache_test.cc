@@ -1,5 +1,6 @@
 #include "src/cache/block_cache.h"
 
+#include <algorithm>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -59,12 +60,12 @@ TEST(BlockCacheTest, FindDoesNotRenew) {
 
 TEST(BlockCacheTest, EvictLruReturnsVictim) {
   BlockCache cache(2);
-  cache.Insert(B(1)).recirculation_count = 2;
+  cache.SetMarks(cache.Insert(B(1)), 2, false);
   cache.Insert(B(2));
   const std::optional<CacheEntry> victim = cache.EvictLru();
   ASSERT_TRUE(victim.has_value());
   EXPECT_EQ(victim->block, B(1));
-  EXPECT_EQ(victim->recirculation_count, 2);  // Metadata survives the copy.
+  EXPECT_EQ(victim->recirculation_count(), 2);  // Metadata survives the copy.
   EXPECT_FALSE(cache.Contains(B(1)));
   EXPECT_EQ(cache.size(), 1u);
 }
@@ -86,17 +87,6 @@ TEST(BlockCacheTest, ZeroCapacityRejectsInsertion) {
   BlockCache cache(0);
   EXPECT_FALSE(cache.CanInsert());
   EXPECT_TRUE(cache.Full());
-}
-
-TEST(BlockCacheTest, MoveToLruAndMru) {
-  BlockCache cache(3);
-  cache.Insert(B(1));
-  CacheEntry& two = cache.Insert(B(2));
-  cache.Insert(B(3));
-  cache.MoveToLru(&two);
-  EXPECT_EQ(cache.Lru()->block, B(2));
-  cache.MoveToMru(&two);
-  EXPECT_EQ(cache.Mru()->block, B(2));
 }
 
 TEST(BlockCacheTest, ScanFromLruVisitsInLruOrder) {
@@ -161,8 +151,8 @@ TEST(BlockCacheTest, ClearEmptiesCache) {
 TEST(BlockCacheTest, EntryMetadataDefaults) {
   BlockCache cache(1);
   const CacheEntry& entry = cache.Insert(B(7));
-  EXPECT_EQ(entry.recirculation_count, 0);
-  EXPECT_FALSE(entry.singlet_flag);
+  EXPECT_EQ(entry.recirculation_count(), 0);
+  EXPECT_FALSE(entry.singlet_flag());
   EXPECT_FALSE(entry.recirculating());
   EXPECT_EQ(entry.last_ref, 0);
 }
@@ -209,6 +199,126 @@ TEST_P(BlockCacheLruProperty, MatchesReferenceModel) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Capacities, BlockCacheLruProperty, ::testing::Values(1, 2, 5, 16, 49));
+
+// Blocks of `klass`, oldest first, as the cache's class list holds them.
+std::vector<BlockId> ClassBlocks(BlockCache& cache, std::size_t klass) {
+  std::vector<BlockId> blocks;
+  cache.ScanClassFromLru(klass, [&blocks](const CacheEntry& entry) {
+    blocks.push_back(entry.block);
+    return false;
+  });
+  return blocks;
+}
+
+TEST(BlockCacheTest, ClassOfFollowsMarks) {
+  BlockCache cache(2);
+  CacheEntry& entry = cache.Insert(B(1));
+  EXPECT_EQ(BlockCache::ClassOf(entry), BlockCache::kUnmarkedClass);
+  cache.SetMarks(entry, 0, true);
+  EXPECT_EQ(BlockCache::ClassOf(entry), BlockCache::kNoClass);
+  cache.SetMarks(entry, 3, true);
+  EXPECT_EQ(BlockCache::ClassOf(entry), 3u);
+  cache.SetMarks(entry, 3, false);  // The count, not the flag, selects the list.
+  EXPECT_EQ(BlockCache::ClassOf(entry), 3u);
+  EXPECT_EQ(cache.num_classes(), 4u);
+  EXPECT_EQ(cache.RecirculatingCount(), 1u);
+}
+
+class BlockCacheClassIndexProperty : public ::testing::TestWithParam<std::size_t> {};
+
+// Property: under random Insert/Touch/Erase/EvictLru and mark changes, every
+// eviction-class list equals a plain vector model of the LRU order filtered
+// to that class (so its oldest entry is the model's oldest of the class),
+// and the recirculating classes' sizes add up to RecirculatingCount.
+TEST_P(BlockCacheClassIndexProperty, ClassListsFilterTheLruOrder) {
+  constexpr std::uint8_t kMaxCount = 4;
+  struct ModelEntry {
+    std::uint32_t file;
+    std::uint8_t count;
+    bool flag;
+  };
+  auto model_class = [](const ModelEntry& entry) {
+    if (entry.count > 0) {
+      return static_cast<std::size_t>(entry.count);
+    }
+    return entry.flag ? BlockCache::kNoClass : BlockCache::kUnmarkedClass;
+  };
+  const std::size_t capacity = GetParam();
+  BlockCache cache(capacity);
+  std::vector<ModelEntry> model;  // front = LRU.
+  unsigned state = 7;
+  auto next = [&state] {
+    state = state * 1664525u + 1013904223u;
+    return state >> 16;
+  };
+  for (int step = 0; step < 4000; ++step) {
+    const std::uint32_t file = next() % 40;
+    auto it = std::find_if(model.begin(), model.end(),
+                           [file](const ModelEntry& entry) { return entry.file == file; });
+    switch (next() % 5) {
+      case 0:  // Reference: touch, or insert after an LRU eviction.
+      case 1:
+        if (it != model.end()) {
+          const ModelEntry touched = *it;
+          model.erase(it);
+          model.push_back(touched);
+          ASSERT_NE(cache.Touch(B(file)), nullptr);
+        } else {
+          if (model.size() == capacity) {
+            model.erase(model.begin());
+            ASSERT_TRUE(cache.EvictLru().has_value());
+          }
+          model.push_back({file, 0, false});
+          cache.Insert(B(file));
+        }
+        break;
+      case 2:  // Erase (a miss is a no-op on both sides).
+        if (it != model.end()) {
+          model.erase(it);
+        }
+        cache.Erase(B(file));
+        break;
+      case 3:  // Evict the LRU entry.
+        if (!model.empty()) {
+          model.erase(model.begin());
+        }
+        cache.EvictLru();
+        break;
+      default:  // Change the marks of a cached block.
+        if (it != model.end()) {
+          const auto count = static_cast<std::uint8_t>(next() % 2 == 0 ? 0 : next() % kMaxCount);
+          const bool flag = next() % 2 == 0;
+          it->count = count;
+          it->flag = flag;
+          cache.SetMarks(*cache.Find(B(file)), count, flag);
+        }
+        break;
+    }
+
+    ASSERT_EQ(cache.size(), model.size());
+    std::size_t recirculating = 0;
+    for (std::size_t klass = 0; klass < kMaxCount; ++klass) {
+      std::vector<BlockId> expected;
+      for (const ModelEntry& entry : model) {
+        if (model_class(entry) == klass) {
+          expected.push_back(B(entry.file));
+        }
+      }
+      ASSERT_EQ(ClassBlocks(cache, klass), expected) << "class " << klass << " at step " << step;
+      ASSERT_EQ(cache.ClassSize(klass), expected.size());
+      const CacheEntry* oldest = cache.ClassLru(klass);
+      ASSERT_EQ(oldest == nullptr, expected.empty());
+      if (oldest != nullptr) {
+        ASSERT_EQ(oldest->block, expected.front());
+      }
+      recirculating += klass == BlockCache::kUnmarkedClass ? 0 : expected.size();
+    }
+    ASSERT_EQ(cache.RecirculatingCount(), recirculating);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Capacities, BlockCacheClassIndexProperty,
+                         ::testing::Values(1, 2, 5, 16, 39));
 
 }  // namespace
 }  // namespace coopfs

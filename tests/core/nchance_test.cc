@@ -33,8 +33,8 @@ TEST(NChanceTest, EvictedSingletRecirculatesToPeer) {
   const auto result = simulator.Run(policy, [](SimContext& context) {
     const CacheEntry* entry = context.client_cache(1).Find(BlockId{1, 0});
     ASSERT_NE(entry, nullptr) << "singlet should have recirculated to the peer";
-    EXPECT_EQ(entry->recirculation_count, 2);
-    EXPECT_TRUE(entry->singlet_flag);
+    EXPECT_EQ(entry->recirculation_count(), 2);
+    EXPECT_TRUE(entry->singlet_flag());
     EXPECT_EQ(context.directory().HolderCount(BlockId{1, 0}), 1u);
     EXPECT_TRUE(CheckCacheDirectoryConsistency(context).ok());
   });
@@ -95,7 +95,7 @@ TEST(NChanceTest, LocalReferenceResetsRecirculation) {
   const auto result = simulator.Run(policy, [](SimContext& context) {
     const CacheEntry* entry = context.client_cache(1).Find(BlockId{1, 0});
     ASSERT_NE(entry, nullptr);
-    EXPECT_EQ(entry->recirculation_count, 0);
+    EXPECT_EQ(entry->recirculation_count(), 0);
   });
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(Level(*result, CacheLevel::kLocalMemory), 1u);
@@ -128,7 +128,7 @@ TEST(NChanceTest, ServerHitDemotesRecirculatingCopy) {
       }
       verified = true;
       EXPECT_FALSE(entry->recirculating());
-      EXPECT_FALSE(entry->singlet_flag);
+      EXPECT_FALSE(entry->singlet_flag());
       const Status status = CheckCacheDirectoryConsistency(context);
       EXPECT_TRUE(status.ok()) << status.ToString();
     });
@@ -202,6 +202,73 @@ TEST(NChanceTest, ModifiedReplacementPrefersDuplicates) {
     ASSERT_TRUE(result.ok());
   }
   EXPECT_TRUE(verified);
+}
+
+TEST(NChanceTest, ModifiedReplacementEvictsOlderOfEqualCounts) {
+  // Two clients, so every forward goes to the other one. Client 1 holds its
+  // own singlet f9 (LRU) and, newer, f1 and f2, both recirculating with the
+  // same count. When f3 arrives, f9 is queried and flagged (no duplicate to
+  // evict), and the victim is the *older* of the two equal-count copies.
+  // Plain LRU would have discarded f9.
+  TraceBuilder builder;
+  builder.Read(1, 9, 0)
+      .Read(0, 1, 0).Read(0, 2, 0).Read(0, 3, 0)  // Client 0 (capacity 3) full.
+      .Read(0, 4, 0)                              // f1 -> client 1 (count 2).
+      .Read(0, 5, 0)                              // f2 -> client 1 (count 2): full.
+      .Read(0, 6, 0);                             // f3 -> client 1: make space.
+  Simulator simulator(TinyConfig(3, 64, 2), &builder.Build());
+  NChancePolicy policy(2);
+  const auto result = simulator.Run(policy, [](SimContext& context) {
+    const BlockCache& peer = context.client_cache(1);
+    EXPECT_FALSE(peer.Contains(BlockId{1, 0})) << "the older equal-count copy is the victim";
+    EXPECT_EQ(context.directory().HolderCount(BlockId{1, 0}), 0u) << "dropped, not forwarded";
+    ASSERT_NE(peer.Find(BlockId{2, 0}), nullptr);
+    EXPECT_EQ(peer.Find(BlockId{2, 0})->recirculation_count(), 2);
+    ASSERT_NE(peer.Find(BlockId{3, 0}), nullptr);
+    const CacheEntry* own = peer.Find(BlockId{9, 0});
+    ASSERT_NE(own, nullptr) << "a queried singlet outranks recirculating copies";
+    EXPECT_TRUE(own->singlet_flag());
+    const Status status = CheckCacheDirectoryConsistency(context);
+    EXPECT_TRUE(status.ok()) << status.ToString();
+  });
+  ASSERT_TRUE(result.ok());
+}
+
+TEST(NChanceTest, UnflaggedSingletIsQueriedAgainAtItsLruPosition) {
+  // Two clients, capacity 4. Client 1 ends up holding, oldest first: f7 (its
+  // own singlet), f1 (a flag-marked singlet it referenced after receiving
+  // it), f8 (duplicated at client 0) and f2 (recirculating). Client 0 then
+  // reads f1 from server memory: client 1's flag is reset, so f1 is an
+  // ordinary block again, older than f8. The forward that follows must
+  // query f1 again at that LRU position and evict it as the oldest
+  // duplicate; re-queuing it as the newest unmarked block (or never
+  // re-querying it) would evict f8 instead.
+  TraceBuilder builder;
+  builder.Read(0, 1, 0)
+      .Read(1, 7, 0)
+      .Read(0, 2, 0).Read(0, 3, 0).Read(0, 4, 0)  // Client 0 full.
+      .Read(0, 5, 0)   // f1 -> client 1 (recirculating, flagged).
+      .Read(1, 1, 0)   // Local hit: f1 becomes a flag-marked local singlet.
+      .Read(1, 8, 0)
+      .Read(0, 8, 0)   // Server hit; client 0 forwards f2 -> client 1: full.
+      .Read(0, 1, 0);  // Server hit unflags f1; f3 forwarded -> make space.
+  Simulator simulator(TinyConfig(4, 64, 2), &builder.Build());
+  NChancePolicy policy(2);
+  const auto result = simulator.Run(policy, [](SimContext& context) {
+    const BlockCache& peer = context.client_cache(1);
+    EXPECT_FALSE(peer.Contains(BlockId{1, 0})) << "the re-queried duplicate f1 is the victim";
+    EXPECT_TRUE(context.client_cache(0).Contains(BlockId{1, 0}));
+    EXPECT_TRUE(peer.Contains(BlockId{8, 0})) << "the newer duplicate survives";
+    EXPECT_TRUE(peer.Contains(BlockId{2, 0}));
+    EXPECT_TRUE(peer.Contains(BlockId{3, 0}));
+    const CacheEntry* own = peer.Find(BlockId{7, 0});
+    ASSERT_NE(own, nullptr);
+    EXPECT_TRUE(own->singlet_flag()) << "f7 was queried first, as the oldest unmarked block";
+    const Status status = CheckCacheDirectoryConsistency(context);
+    EXPECT_TRUE(status.ok()) << status.ToString();
+  });
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(Level(*result, CacheLevel::kServerMemory), 2u);  // f8 and f1.
 }
 
 TEST(NChanceTest, ZeroChanceEqualsGreedyOnScriptedTrace) {

@@ -62,7 +62,7 @@ TEST(ValidationTest, DetectsFalseSingletMarking) {
   context.client_cache(1).Insert(BlockId{1, 0});
   context.directory().AddHolder(BlockId{1, 0}, 0);
   context.directory().AddHolder(BlockId{1, 0}, 1);
-  entry.singlet_flag = true;  // Lie: the block is duplicated.
+  context.client_cache(0).SetMarks(entry, 0, true);  // Lie: the block is duplicated.
   const Status status = CheckCacheDirectoryConsistency(context);
   EXPECT_EQ(status.code(), StatusCode::kInternal);
   EXPECT_NE(status.message().find("marked singlet"), std::string::npos);
