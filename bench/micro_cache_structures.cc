@@ -77,6 +77,30 @@ void BM_BlockCacheMissInsertEvict(benchmark::State& state) {
 }
 BENCHMARK(BM_BlockCacheMissInsertEvict)->Arg(2048)->Arg(16384);
 
+// N-Chance's singlet-flag reset (another client fetched the block) in a
+// cache whose entries are all flag-marked singlets except the oldest and the
+// newest: each reset joins the unmarked class between those two, and the
+// re-flag that follows leaves it again.
+void BM_BlockCacheFlagReset(benchmark::State& state) {
+  const auto capacity = static_cast<std::uint32_t>(state.range(0));
+  BlockCache cache(capacity);
+  for (std::uint32_t i = 0; i < capacity; ++i) {
+    CacheEntry& entry = cache.Insert(BlockId{i, 0});
+    if (i != 0 && i + 1 != capacity) {
+      cache.SetMarks(entry, 0, true);
+    }
+  }
+  Rng rng(4);
+  for (auto _ : state) {
+    const auto file = static_cast<FileId>(1 + rng.NextBelow(capacity - 2));
+    CacheEntry& entry = *cache.Find(BlockId{file, 0});
+    cache.SetMarks(entry, 0, false);
+    cache.SetMarks(entry, 0, true);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_BlockCacheFlagReset)->Arg(2048)->Arg(16384);
+
 void BM_LruMapInsert(benchmark::State& state) {
   LruMap<std::uint64_t, ClientId> map(static_cast<std::size_t>(state.range(0)));
   std::uint64_t next = 0;

@@ -29,9 +29,20 @@
 // and fit in CacheEntry's padding. The index only changes how victims are
 // found, never which: SetMarks is the marks' only writer, so the lists
 // cannot drift from the marks.
+//
+// LRU order stamps: Insert and Touch give an entry the next value of a
+// per-cache 64-bit counter, so LRU order is stamp order. An entry joining a
+// class links at the newest or oldest end of its list when its stamp lies
+// beyond that end (always so for Insert and Touch). A join between two list
+// members — a singlet-flag reset, or a recirculation-count merge — goes to
+// a small stamp-sorted vector of "late" members instead. The class is the
+// stamp-order merge of its list and its late members, which equals the LRU
+// list filtered to the class. A late member leaves the vector when it is
+// touched, erased or re-marked.
 #ifndef COOPFS_SRC_CACHE_BLOCK_CACHE_H_
 #define COOPFS_SRC_CACHE_BLOCK_CACHE_H_
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <optional>
@@ -55,7 +66,6 @@ class alignas(64) CacheEntry {
   Micros last_ref = 0;
 
   // Delayed-write extension: this copy holds data newer than the server's.
-  Micros dirty_since = 0;
   bool dirty = false;
 
   // N-Chance: recirculations remaining. > 0 means this copy is a singlet
@@ -69,6 +79,10 @@ class alignas(64) CacheEntry {
 
   bool recirculating() const { return recirculation_count_ > 0; }
 
+  // Position in its cache's LRU order: set from a per-cache counter by
+  // Insert and Touch, so a larger stamp is more recently used.
+  std::uint64_t lru_stamp() const { return stamp_; }
+
  private:
   friend class BlockCache;
 
@@ -78,13 +92,18 @@ class alignas(64) CacheEntry {
   std::uint8_t recirculation_count_ = 0;
   bool singlet_flag_ = false;
 
+  // A member of its class held in the cache's late vector, not on the list.
+  bool late_ = false;
+
   // Neighbours on this entry's class list, as slab slots (kNoSlot past the
   // oldest / newest end or when on no list).
   std::uint32_t class_older_ = kNoSlot;
   std::uint32_t class_newer_ = kNoSlot;
+
+  std::uint64_t stamp_ = 0;
 };
 
-// The class links fit in what would otherwise be padding.
+// The class links and the stamp fit in one cache line.
 static_assert(sizeof(CacheEntry) == 64);
 
 class BlockCache {
@@ -100,7 +119,8 @@ class BlockCache {
         slab_(capacity_blocks, ArenaAllocator<CacheEntry>(arena)),
         free_slots_(ArenaAllocator<std::uint32_t>(arena)),
         index_(arena),
-        recirculating_(ArenaAllocator<ClassList>(arena)) {
+        recirculating_(ArenaAllocator<ClassList>(arena)),
+        late_(ArenaAllocator<LateMember>(arena)) {
     assert(capacity_ < CacheEntry::kNoSlot);
     index_.Reserve(capacity_);
     free_slots_.reserve(capacity_);
@@ -136,16 +156,18 @@ class BlockCache {
   // Lookup and move to the MRU position. Returns nullptr if absent.
   CacheEntry* Touch(BlockId block) {
     CacheEntry* entry = Find(block);
-    if (entry != nullptr) {
-      lru_.MoveToFront(entry);
-      if (const std::size_t klass = ClassOf(*entry); klass != kNoClass) {
-        ClassList& list = ListOf(klass);
-        if (list.newest != SlotOf(*entry)) {
-          Unlink(*entry, list);
-          LinkNewest(*entry, list);
-        }
+    if (entry == nullptr) {
+      return nullptr;
+    }
+    lru_.MoveToFront(entry);
+    if (const std::size_t klass = ClassOf(*entry); klass != kNoClass) {
+      ClassList& list = ListOf(klass);
+      if (entry->late_ || list.newest != SlotOf(*entry)) {
+        Leave(*entry, klass);  // Before the restamp: a late member is found by stamp.
+        LinkNewest(*entry, list);
       }
     }
+    entry->stamp_ = ++next_stamp_;
     return entry;
   }
 
@@ -160,6 +182,7 @@ class BlockCache {
     CacheEntry& entry = slab_[*slot];
     entry = CacheEntry{};  // Fresh metadata; the slot's node is unlinked.
     entry.block = block;
+    entry.stamp_ = ++next_stamp_;
     lru_.PushFront(&entry);
     LinkNewest(entry, unmarked_);
     return entry;
@@ -167,18 +190,16 @@ class BlockCache {
 
   // Removes `block` if present; returns true if it was.
   bool Erase(BlockId block) {
-    const std::uint32_t* slot = index_.Find(block.Pack());
-    if (slot == nullptr) {
+    const std::optional<std::uint32_t> slot = index_.Extract(block.Pack());
+    if (!slot.has_value()) {
       return false;
     }
-    const std::uint32_t freed = *slot;
-    CacheEntry& entry = slab_[freed];
+    CacheEntry& entry = slab_[*slot];
     if (const std::size_t klass = ClassOf(entry); klass != kNoClass) {
-      Unlink(entry, ListOf(klass));
+      Leave(entry, klass);
     }
     lru_.Remove(&entry);
-    index_.Erase(block.Pack());
-    free_slots_.push_back(freed);
+    free_slots_.push_back(*slot);
     return true;
   }
 
@@ -244,9 +265,10 @@ class BlockCache {
   }
 
   // Sets `entry`'s N-Chance marks — their only writer — and moves it to its
-  // LRU-order position on the new class list. `entry` must belong to this
-  // cache. O(1) unless the class changes to a non-empty list; then a walk
-  // outward along the LRU list to the nearest same-class neighbour.
+  // LRU-order position in the new class. `entry` must belong to this cache.
+  // O(1) when the entry joins at either end of the class list (or leaves a
+  // list); a join between two members, or leaving the late vector, is a
+  // binary search plus a shift of the k late members.
   void SetMarks(CacheEntry& entry, std::uint8_t recirculation_count, bool singlet_flag) {
     const std::size_t before = ClassOf(entry);
     entry.recirculation_count_ = recirculation_count;
@@ -256,10 +278,10 @@ class BlockCache {
       return;
     }
     if (before != kNoClass) {
-      Unlink(entry, ListOf(before));
+      Leave(entry, before);
     }
     if (after != kNoClass) {
-      LinkInLruOrder(entry, after);
+      Join(entry, after);
     }
   }
 
@@ -268,28 +290,51 @@ class BlockCache {
   std::size_t num_classes() const { return 1 + recirculating_.size(); }
 
   std::size_t ClassSize(std::size_t klass) const {
-    return klass < num_classes() ? ListOf(klass).size : 0;
+    if (klass >= num_classes()) {
+      return 0;
+    }
+    std::size_t size = ListOf(klass).size;
+    for (const LateMember& late : late_) {
+      size += late.klass == klass ? 1 : 0;
+    }
+    return size;
   }
 
   // The oldest entry of `klass`, or nullptr if it has none.
   CacheEntry* ClassLru(std::size_t klass) {
-    return klass < num_classes() ? EntryAt(ListOf(klass).oldest) : nullptr;
+    if (klass >= num_classes()) {
+      return nullptr;
+    }
+    CacheEntry* linked = EntryAt(ListOf(klass).oldest);
+    CacheEntry* late = NextLate(klass, 0);
+    return Older(late, linked) ? late : linked;
   }
 
-  // ScanFromLru restricted to one class list, in the same relative order.
-  // The visitor may change the marks of the entry it is visiting (via
-  // SetMarks) but must not otherwise mutate the cache.
+  // ScanFromLru restricted to one class, in the same relative order: the
+  // class list and the class's late members merged by stamp. The visitor
+  // may change the marks of the entry it is visiting (via SetMarks) but must
+  // not otherwise mutate the cache.
   template <typename Visitor>
   CacheEntry* ScanClassFromLru(std::size_t klass, Visitor&& visitor) {
     if (klass >= num_classes()) {
       return nullptr;
     }
-    for (CacheEntry* entry = EntryAt(ListOf(klass).oldest); entry != nullptr;) {
-      CacheEntry* newer = EntryAt(entry->class_newer_);
+    // Both successors are found before the visit: a re-mark moves only the
+    // visited entry, and nothing joins `klass` while it is scanned.
+    CacheEntry* linked = EntryAt(ListOf(klass).oldest);
+    CacheEntry* late = NextLate(klass, 0);
+    while (linked != nullptr || late != nullptr) {
+      CacheEntry* entry;
+      if (Older(late, linked)) {
+        entry = late;
+        late = NextLate(klass, late->stamp_);
+      } else {
+        entry = linked;
+        linked = EntryAt(linked->class_newer_);
+      }
       if (visitor(*entry)) {
         return entry;
       }
-      entry = newer;
     }
     return nullptr;
   }
@@ -301,6 +346,9 @@ class BlockCache {
     std::size_t count = 0;
     for (const ClassList& list : recirculating_) {
       count += list.size;
+    }
+    for (const LateMember& late : late_) {
+      count += late.klass != kUnmarkedClass ? 1 : 0;
     }
     return count;
   }
@@ -321,6 +369,8 @@ class BlockCache {
     index_.Clear();
     unmarked_ = ClassList{};
     recirculating_.clear();
+    late_.clear();
+    next_stamp_ = 0;
     free_slots_.clear();
     for (std::size_t i = capacity_; i > 0; --i) {
       free_slots_.push_back(static_cast<std::uint32_t>(i - 1));
@@ -334,6 +384,16 @@ class BlockCache {
     std::uint32_t newest = CacheEntry::kNoSlot;
     std::uint32_t size = 0;
   };
+
+  // A class member whose stamp lies between two members of its class list.
+  // Its class is kept here (it cannot change while late), so filtering the
+  // vector by class reads no entry.
+  struct LateMember {
+    std::uint64_t stamp;
+    std::uint32_t slot;
+    std::uint32_t klass;
+  };
+  using LateVector = std::vector<LateMember, ArenaAllocator<LateMember>>;
 
   // Back (LRU) node or nullptr when empty; Prev walks toward MRU.
   IntrusiveListNode* LruNodeBack() {
@@ -383,43 +443,57 @@ class BlockCache {
     --list.size;
   }
 
-  // Links `entry` (on the LRU list, on no class list) into `klass` at its
-  // LRU-order position. Walks the LRU list outward, one step each way per
-  // round: the first same-class neighbour fixes the position, and reaching
-  // either end of the LRU list first makes `entry` that end of its class.
-  void LinkInLruOrder(CacheEntry& entry, std::size_t klass) {
+  // Adds `entry` (on no class) to `klass` at its LRU-order position: at
+  // either end of the class list when its stamp lies beyond that end,
+  // otherwise among the late members.
+  void Join(CacheEntry& entry, std::size_t klass) {
     if (klass > recirculating_.size()) {
       recirculating_.resize(klass);
     }
     ClassList& list = ListOf(klass);
-    if (list.size == 0) {
+    if (list.size == 0 || entry.stamp_ > slab_[list.newest].stamp_) {
       LinkNewest(entry, list);
+    } else if (entry.stamp_ < slab_[list.oldest].stamp_) {
+      LinkBetween(entry, list, CacheEntry::kNoSlot, list.oldest);
+    } else {
+      late_.insert(LateBound(entry.stamp_), LateMember{entry.stamp_, SlotOf(entry),
+                                                       static_cast<std::uint32_t>(klass)});
+      entry.late_ = true;
+    }
+  }
+
+  // Removes `entry` from `klass`, its current class.
+  void Leave(CacheEntry& entry, std::size_t klass) {
+    if (!entry.late_) {
+      Unlink(entry, ListOf(klass));
       return;
     }
-    const IntrusiveListNode* toward_mru = entry.lru_node.prev;
-    const IntrusiveListNode* toward_lru = entry.lru_node.next;
-    while (true) {
-      if (toward_mru->owner == nullptr) {
-        LinkNewest(entry, list);
-        return;
+    const auto it = LateBound(entry.stamp_);
+    assert(it != late_.end() && it->slot == SlotOf(entry));
+    late_.erase(it);
+    entry.late_ = false;
+  }
+
+  // The first late member with a stamp of at least `stamp`.
+  LateVector::iterator LateBound(std::uint64_t stamp) {
+    return std::lower_bound(
+        late_.begin(), late_.end(), stamp,
+        [](const LateMember& late, std::uint64_t bound) { return late.stamp < bound; });
+  }
+
+  // The oldest late member of `klass` newer than `stamp`, or nullptr.
+  CacheEntry* NextLate(std::size_t klass, std::uint64_t stamp) {
+    for (auto it = LateBound(stamp + 1); it != late_.end(); ++it) {
+      if (it->klass == klass) {
+        return &slab_[it->slot];
       }
-      if (const auto& newer = *static_cast<const CacheEntry*>(toward_mru->owner);
-          ClassOf(newer) == klass) {
-        LinkBetween(entry, list, newer.class_older_, SlotOf(newer));
-        return;
-      }
-      if (toward_lru->owner == nullptr) {
-        LinkBetween(entry, list, CacheEntry::kNoSlot, list.oldest);
-        return;
-      }
-      if (const auto& older = *static_cast<const CacheEntry*>(toward_lru->owner);
-          ClassOf(older) == klass) {
-        LinkBetween(entry, list, SlotOf(older), older.class_newer_);
-        return;
-      }
-      toward_mru = toward_mru->prev;
-      toward_lru = toward_lru->next;
     }
+    return nullptr;
+  }
+
+  // Whether `a` precedes `b` in LRU order (nullptr = past the newest end).
+  static bool Older(const CacheEntry* a, const CacheEntry* b) {
+    return a != nullptr && (b == nullptr || a->stamp_ < b->stamp_);
   }
 
   std::size_t capacity_;
@@ -429,10 +503,13 @@ class BlockCache {
   std::vector<std::uint32_t, ArenaAllocator<std::uint32_t>> free_slots_;
   FlatHashMap<std::uint64_t, std::uint32_t> index_;  // Packed BlockId -> slot.
   IntrusiveList<CacheEntry, &CacheEntry::lru_node> lru_;
+  std::uint64_t next_stamp_ = 0;  // The last stamp handed out.
   // Eviction-class lists: unmarked entries, and entries with c
   // recirculations left at recirculating_[c - 1].
   ClassList unmarked_;
   std::vector<ClassList, ArenaAllocator<ClassList>> recirculating_;
+  // Late class members of every class, sorted by stamp.
+  LateVector late_;
 };
 
 }  // namespace coopfs

@@ -92,14 +92,12 @@ class LruMap {
   }
 
   bool Erase(const K& key) {
-    const std::uint32_t* slot = index_.Find(key);
-    if (slot == nullptr) {
+    const std::optional<std::uint32_t> slot = index_.Extract(key);
+    if (!slot.has_value()) {
       return false;
     }
-    Entry& entry = SlabAt(*slot);
-    lru_.Remove(&entry);
+    lru_.Remove(&SlabAt(*slot));
     free_slots_.push_back(*slot);
-    index_.Erase(key);
     return true;
   }
 

@@ -41,6 +41,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -175,6 +176,18 @@ class FlatHashMap {
     }
     EraseAt(i);
     return true;
+  }
+
+  // Removes `key` if present and returns its value (one probe, unlike Find
+  // followed by Erase); nullopt if absent.
+  std::optional<V> Extract(const K& key) {
+    const std::size_t i = FindIndex(key);
+    if (i == kNpos) {
+      return std::nullopt;
+    }
+    std::optional<V> value(std::move(slots_[i].value));
+    EraseAt(i);
+    return value;
   }
 
   // Removes every entry for which pred(key, value) is true; returns the

@@ -40,6 +40,10 @@ void PolicyBase::EvictForInsert(ClientId client) {
 }
 
 void PolicyBase::FlushIfDirty(ClientId client, BlockId block) {
+  // Only a delayed write marks a copy dirty; write-through skips the probe.
+  if (!delayed_writes()) {
+    return;
+  }
   CacheEntry* entry = ctx().client_cache(client).Find(block);
   if (entry == nullptr || !entry->dirty) {
     return;
@@ -164,7 +168,6 @@ void PolicyBase::Write(ClientId client, BlockId block) {
     entry->dirty = true;
     flush_queue_.push_back({ctx().now() + ctx().config().write_delay, client, block});
   }
-  entry->dirty_since = ctx().now();
 }
 
 void PolicyBase::Delete(ClientId client, FileId file) {

@@ -7,14 +7,21 @@ namespace coopfs {
 
 namespace {
 
-// The eviction-class index: every class list must equal the LRU list
-// filtered to its class, which puts each entry on exactly the list its
-// N-Chance marks select (and flag-marked singlets on none).
+// The eviction-class index: LRU stamps must rise strictly from LRU to MRU,
+// and every class must equal the LRU list filtered to it, which puts each
+// entry in exactly the class its N-Chance marks select (and flag-marked
+// singlets in none).
 Status CheckClassIndex(BlockCache& cache, std::uint32_t client) {
   const std::string where = "client " + std::to_string(client) + " ";
   std::vector<std::vector<const CacheEntry*>> expected(cache.num_classes());
   Status status = Status::Ok();
+  std::uint64_t older_stamp = 0;
   cache.ScanFromLru([&](const CacheEntry& entry) {
+    if (older_stamp != 0 && entry.lru_stamp() <= older_stamp) {
+      status = Status::Internal(where + "LRU stamps do not rise at " + entry.block.ToString());
+      return true;
+    }
+    older_stamp = entry.lru_stamp();
     const std::size_t klass = BlockCache::ClassOf(entry);
     if (klass == BlockCache::kNoClass) {
       return false;
@@ -40,7 +47,7 @@ Status CheckClassIndex(BlockCache& cache, std::uint32_t client) {
       return !match;
     });
     if (!match || seen != want.size() || cache.ClassSize(klass) != want.size()) {
-      return Status::Internal(where + "class list " + std::to_string(klass) +
+      return Status::Internal(where + "class " + std::to_string(klass) +
                               " is not its LRU-order filter (" + std::to_string(want.size()) +
                               " entries expected, size " +
                               std::to_string(cache.ClassSize(klass)) + ")");

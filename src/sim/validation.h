@@ -14,8 +14,9 @@ namespace coopfs {
 //   * no cache exceeds its capacity;
 //   * N-Chance metadata is coherent: a copy that is recirculating or
 //     flag-marked singlet really is the only client copy;
-//   * each client cache's eviction-class index matches its marks: every
-//     class list is the LRU list filtered to that class.
+//   * each client cache's eviction-class index matches its marks: LRU
+//     stamps rise strictly from LRU to MRU, and every class is the LRU list
+//     filtered to that class.
 // Returns the first violation found.
 Status CheckCacheDirectoryConsistency(SimContext& context);
 

@@ -224,6 +224,129 @@ TEST(BlockCacheTest, ClassOfFollowsMarks) {
   EXPECT_EQ(cache.RecirculatingCount(), 1u);
 }
 
+// Inserts blocks 1..`count` (1 oldest) and flags `flagged`, leaving the
+// rest on the unmarked list.
+void FillAndFlag(BlockCache& cache, std::uint32_t count,
+                 const std::vector<std::uint32_t>& flagged) {
+  for (std::uint32_t file = 1; file <= count; ++file) {
+    cache.Insert(B(file));
+  }
+  for (std::uint32_t file : flagged) {
+    cache.SetMarks(*cache.Find(B(file)), 0, true);
+  }
+}
+
+std::vector<BlockId> Blocks(const std::vector<std::uint32_t>& files) {
+  std::vector<BlockId> blocks;
+  for (std::uint32_t file : files) {
+    blocks.push_back(B(file));
+  }
+  return blocks;
+}
+
+TEST(BlockCacheTest, LruStampsRiseWithInsertAndTouch) {
+  BlockCache cache(3);
+  const std::uint64_t first = cache.Insert(B(1)).lru_stamp();
+  const std::uint64_t second = cache.Insert(B(2)).lru_stamp();
+  EXPECT_LT(first, second);
+  EXPECT_GT(cache.Touch(B(1))->lru_stamp(), second);
+  cache.SetMarks(*cache.Find(B(2)), 3, true);  // Marks do not reorder.
+  EXPECT_EQ(cache.Find(B(2))->lru_stamp(), second);
+}
+
+// A flag reset between two unmarked members joins the class at its LRU
+// position, and a scan visits it there.
+TEST(BlockCacheTest, FlagResetBetweenUnmarkedMembersIsScannedInLruOrder) {
+  BlockCache cache(8);
+  FillAndFlag(cache, 5, {2, 3, 4});
+  ASSERT_EQ(ClassBlocks(cache, BlockCache::kUnmarkedClass), Blocks({1, 5}));
+  cache.SetMarks(*cache.Find(B(3)), 0, false);
+  EXPECT_EQ(ClassBlocks(cache, BlockCache::kUnmarkedClass), Blocks({1, 3, 5}));
+  cache.SetMarks(*cache.Find(B(4)), 0, false);
+  cache.SetMarks(*cache.Find(B(2)), 0, false);
+  EXPECT_EQ(ClassBlocks(cache, BlockCache::kUnmarkedClass), Blocks({1, 2, 3, 4, 5}));
+  EXPECT_EQ(cache.ClassSize(BlockCache::kUnmarkedClass), 5u);
+  const CacheEntry* stop = cache.ScanClassFromLru(
+      BlockCache::kUnmarkedClass, [](const CacheEntry& entry) { return entry.block == B(3); });
+  ASSERT_NE(stop, nullptr);
+  EXPECT_EQ(stop->block, B(3));
+}
+
+TEST(BlockCacheTest, LateMemberLeavesOnTouchEraseAndRemark) {
+  BlockCache cache(8);
+  FillAndFlag(cache, 5, {2, 3, 4});
+  cache.SetMarks(*cache.Find(B(2)), 0, false);
+  cache.SetMarks(*cache.Find(B(3)), 0, false);
+  ASSERT_EQ(ClassBlocks(cache, BlockCache::kUnmarkedClass), Blocks({1, 2, 3, 5}));
+
+  cache.Touch(B(2));  // Late -> newest end of the list.
+  EXPECT_EQ(ClassBlocks(cache, BlockCache::kUnmarkedClass), Blocks({1, 3, 5, 2}));
+  EXPECT_EQ(cache.Mru()->block, B(2));
+
+  cache.SetMarks(*cache.Find(B(3)), 2, true);  // Late -> a count class.
+  EXPECT_EQ(ClassBlocks(cache, BlockCache::kUnmarkedClass), Blocks({1, 5, 2}));
+  EXPECT_EQ(ClassBlocks(cache, 2), Blocks({3}));
+  EXPECT_EQ(cache.RecirculatingCount(), 1u);
+  cache.SetMarks(*cache.Find(B(3)), 0, false);  // ... and back, between 1 and 5.
+  EXPECT_EQ(ClassBlocks(cache, BlockCache::kUnmarkedClass), Blocks({1, 3, 5, 2}));
+  EXPECT_EQ(cache.RecirculatingCount(), 0u);
+
+  EXPECT_TRUE(cache.Erase(B(3)));
+  EXPECT_EQ(ClassBlocks(cache, BlockCache::kUnmarkedClass), Blocks({1, 5, 2}));
+  EXPECT_EQ(cache.ClassSize(BlockCache::kUnmarkedClass), 3u);
+  cache.Insert(B(3));  // The freed slot is reused as a fresh, newest entry.
+  EXPECT_EQ(ClassBlocks(cache, BlockCache::kUnmarkedClass), Blocks({1, 5, 2, 3}));
+}
+
+// A visitor that re-marks what it visits, while late and linked members of
+// the scanned class interleave and re-marked entries join another class
+// between two of its members.
+TEST(BlockCacheTest, ScanVisitorRemarksInterleavedLateAndLinkedMembers) {
+  BlockCache cache(12);
+  cache.Insert(B(0));
+  FillAndFlag(cache, 9, {2, 4, 6, 8});
+  cache.SetMarks(*cache.Find(B(0)), 1, true);
+  cache.SetMarks(*cache.Find(B(9)), 1, true);
+  for (std::uint32_t file : {6, 2, 4}) {
+    cache.SetMarks(*cache.Find(B(file)), 0, false);
+  }
+  ASSERT_EQ(ClassBlocks(cache, BlockCache::kUnmarkedClass), Blocks({1, 2, 3, 4, 5, 6, 7}));
+
+  std::vector<BlockId> visited;
+  const CacheEntry* stop =
+      cache.ScanClassFromLru(BlockCache::kUnmarkedClass, [&](CacheEntry& entry) {
+        visited.push_back(entry.block);
+        if (entry.block == B(7)) {
+          return true;
+        }
+        // Even blocks go to count class 1 (between 0 and 9), odd ones are
+        // flagged out of every class.
+        const bool even = entry.block.file % 2 == 0;
+        cache.SetMarks(entry, even ? 1 : 0, !even);
+        return false;
+      });
+  ASSERT_NE(stop, nullptr);
+  EXPECT_EQ(stop->block, B(7));
+  EXPECT_EQ(visited, Blocks({1, 2, 3, 4, 5, 6, 7}));
+  EXPECT_EQ(ClassBlocks(cache, BlockCache::kUnmarkedClass), Blocks({7}));
+  EXPECT_EQ(ClassBlocks(cache, 1), Blocks({0, 2, 4, 6, 9}));
+  EXPECT_EQ(cache.ClassSize(1), 5u);
+  EXPECT_EQ(cache.RecirculatingCount(), 5u);
+}
+
+TEST(BlockCacheTest, ClassLruReturnsLateMember) {
+  BlockCache cache(8);
+  FillAndFlag(cache, 4, {});
+  cache.SetMarks(*cache.Find(B(1)), 2, true);
+  cache.SetMarks(*cache.Find(B(4)), 2, true);
+  cache.SetMarks(*cache.Find(B(2)), 2, true);  // Between 1 and 4.
+  ASSERT_EQ(cache.ClassLru(2)->block, B(1));
+  cache.Erase(B(1));
+  ASSERT_NE(cache.ClassLru(2), nullptr);
+  EXPECT_EQ(cache.ClassLru(2)->block, B(2));
+  EXPECT_EQ(ClassBlocks(cache, 2), Blocks({2, 4}));
+}
+
 class BlockCacheClassIndexProperty : public ::testing::TestWithParam<std::size_t> {};
 
 // Property: under random Insert/Touch/Erase/EvictLru and mark changes, every

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -210,7 +211,7 @@ TEST_P(FlatHashMapDifferential, MatchesUnorderedMap) {
   const std::uint64_t key_space = 1 + rng.Below(400);
   for (int step = 0; step < 20'000; ++step) {
     const std::uint64_t key = rng.Below(key_space);
-    switch (rng.Below(4)) {
+    switch (rng.Below(5)) {
       case 0: {  // Insert or overwrite.
         const std::uint64_t value = rng.Next();
         map[key] = value;
@@ -236,6 +237,17 @@ TEST_P(FlatHashMapDifferential, MatchesUnorderedMap) {
           ASSERT_EQ(*found, it->second);
         }
         ASSERT_EQ(map.Contains(key), it != reference.end());
+        break;
+      }
+      case 4: {  // Extract: erase and hand back the value.
+        const auto it = reference.find(key);
+        const std::optional<std::uint64_t> taken = map.Extract(key);
+        ASSERT_EQ(taken.has_value(), it != reference.end());
+        if (taken.has_value()) {
+          ASSERT_EQ(*taken, it->second);
+          reference.erase(it);
+        }
+        ASSERT_FALSE(map.Contains(key));
         break;
       }
     }
