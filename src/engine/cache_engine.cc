@@ -99,13 +99,13 @@ EngineOutcome CacheEngine::LookupLocked(Shard& shard, ClientId client, BlockId b
 
 EngineOutcome CacheEngine::Lookup(ClientId client, BlockId block) {
   Shard& shard = ShardForBlock(block);
-  const std::unique_lock<std::mutex> guard = Guard(shard);
+  const std::unique_lock<ShardLock> guard = Guard(shard);
   return LookupLocked(shard, client, block);
 }
 
 EngineOutcome CacheEngine::Lookup(ClientId client, BlockId block, Micros now) {
   Shard& shard = ShardForBlock(block);
-  const std::unique_lock<std::mutex> guard = Guard(shard);
+  const std::unique_lock<ShardLock> guard = Guard(shard);
   if (now > shard.context->now()) {
     shard.context->set_now(now);
   }
@@ -114,14 +114,14 @@ EngineOutcome CacheEngine::Lookup(ClientId client, BlockId block, Micros now) {
 
 Micros CacheEngine::Admit(ClientId client, BlockId block) {
   Shard& shard = ShardForBlock(block);
-  const std::unique_lock<std::mutex> guard = Guard(shard);
+  const std::unique_lock<ShardLock> guard = Guard(shard);
   shard.policy->Write(client, block);
   return WriteLatency(*shard.config);
 }
 
 Micros CacheEngine::Admit(ClientId client, BlockId block, Micros now) {
   Shard& shard = ShardForBlock(block);
-  const std::unique_lock<std::mutex> guard = Guard(shard);
+  const std::unique_lock<ShardLock> guard = Guard(shard);
   if (now > shard.context->now()) {
     shard.context->set_now(now);
   }
@@ -131,40 +131,40 @@ Micros CacheEngine::Admit(ClientId client, BlockId block, Micros now) {
 
 ClientId CacheEngine::Forward(ClientId requester, BlockId block) {
   Shard& shard = ShardForBlock(block);
-  const std::unique_lock<std::mutex> guard = Guard(shard);
+  const std::unique_lock<ShardLock> guard = Guard(shard);
   SimContext& ctx = *shard.context;
   return ctx.directory().PickHolder(block, requester, ctx.rng());
 }
 
 void CacheEngine::Evict(ClientId client, FileId file) {
   Shard& shard = *shards_[ShardForFile(file)];
-  const std::unique_lock<std::mutex> guard = Guard(shard);
+  const std::unique_lock<ShardLock> guard = Guard(shard);
   shard.policy->Delete(client, file);
 }
 
 void CacheEngine::ReadAttr(ClientId client, FileId file) {
   Shard& shard = *shards_[ShardForFile(file)];
-  const std::unique_lock<std::mutex> guard = Guard(shard);
+  const std::unique_lock<ShardLock> guard = Guard(shard);
   shard.policy->ReadAttr(client, file);
 }
 
 void CacheEngine::Reboot(ClientId client) {
   for (const std::unique_ptr<Shard>& shard : shards_) {
-    const std::unique_lock<std::mutex> guard = Guard(*shard);
+    const std::unique_lock<ShardLock> guard = Guard(*shard);
     shard->policy->Reboot(client);
   }
 }
 
 void CacheEngine::Tick() {
   for (const std::unique_ptr<Shard>& shard : shards_) {
-    const std::unique_lock<std::mutex> guard = Guard(*shard);
+    const std::unique_lock<ShardLock> guard = Guard(*shard);
     shard->policy->Tick();
   }
 }
 
 void CacheEngine::SetAccounting(bool on) {
   for (const std::unique_ptr<Shard>& shard : shards_) {
-    const std::unique_lock<std::mutex> guard = Guard(*shard);
+    const std::unique_lock<ShardLock> guard = Guard(*shard);
     shard->context->set_accounting(on);
   }
 }

@@ -16,7 +16,8 @@
 //
 //   * Sharded concurrent mode — the engine builds `shards` independent
 //     worlds, each with its own SimContext, its own Policy instance (from a
-//     caller-supplied factory), and its own mutex. Requests route to a shard
+//     caller-supplied factory), and its own ShardLock (a spin-then-park
+//     lock, src/common/shard_lock.h). Requests route to a shard
 //     by FileShard (src/common/types.h) of the file id — the same routing
 //     the sharded Directory uses internally — so every operation touches
 //     exactly one shard and takes exactly one lock (Reboot, which is
@@ -38,6 +39,7 @@
 #include <mutex>
 #include <vector>
 
+#include "src/common/shard_lock.h"
 #include "src/common/types.h"
 #include "src/sim/config.h"
 #include "src/sim/context.h"
@@ -147,6 +149,11 @@ class CacheEngine {
   const SimulationConfig& shard_config(std::uint32_t shard = 0) const {
     return *shards_[shard]->config;
   }
+  // Lock acquisitions on `shard` so far (all zero on the fast path, which
+  // takes no lock). Same quiescence rule as context().
+  const ShardLockStats& lock_stats(std::uint32_t shard = 0) const {
+    return shards_[shard]->mu.stats();
+  }
 
  private:
   struct Shard {
@@ -157,15 +164,15 @@ class CacheEngine {
     std::unique_ptr<SimContext> context;
     std::unique_ptr<Policy> owned_policy;  // Null on the fast path.
     Policy* policy = nullptr;
-    std::mutex mu;
+    ShardLock mu;
   };
 
   Shard& ShardForBlock(BlockId block) { return *shards_[ShardForFile(block.file)]; }
 
   // No-op on the fast path; locks the shard in concurrent mode.
-  std::unique_lock<std::mutex> Guard(Shard& shard) {
-    return synchronized_ ? std::unique_lock<std::mutex>(shard.mu)
-                         : std::unique_lock<std::mutex>();
+  std::unique_lock<ShardLock> Guard(Shard& shard) {
+    return synchronized_ ? std::unique_lock<ShardLock>(shard.mu)
+                         : std::unique_lock<ShardLock>();
   }
 
   EngineOutcome LookupLocked(Shard& shard, ClientId client, BlockId block);

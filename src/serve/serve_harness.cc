@@ -192,7 +192,11 @@ BenchReport ServeReport::ToBenchReport() const {
     return series;
   };
 
+  // Throughput counts every issued op, as ops_per_sec does; the latency
+  // object still describes the counted ones.
   BenchSeries throughput = make_series("serve_throughput", total);
+  throughput.items = ops + warmup_ops;
+  throughput.ops_per_sec = ops_per_sec;
   report.series.push_back(std::move(throughput));
   report.series.push_back(make_series("serve_get_total", gets));
   report.series.push_back(make_series(
@@ -217,10 +221,11 @@ std::string ServeReport::ToString() const {
                     " clients, " + mix + " mix\n";
   char line[192];
   std::snprintf(line, sizeof(line),
-                "  %llu ops (%llu gets, %llu puts) in %.3f s = %.0f ops/s\n",
+                "  %llu ops (%llu gets, %llu puts) + %llu warm-up in %.3f s = %.0f ops/s\n",
                 static_cast<unsigned long long>(ops),
                 static_cast<unsigned long long>(get_ops),
-                static_cast<unsigned long long>(put_ops), wall_seconds, ops_per_sec);
+                static_cast<unsigned long long>(put_ops),
+                static_cast<unsigned long long>(warmup_ops), wall_seconds, ops_per_sec);
   out += line;
   for (std::size_t level = 0; level < kNumCacheLevels; ++level) {
     out += FormatStatsRow(CacheLevelName(static_cast<CacheLevel>(level)),
@@ -229,6 +234,17 @@ std::string ServeReport::ToString() const {
   out += FormatStatsRow("All gets", gets);
   out += FormatStatsRow("Puts", puts);
   out += FormatStatsRow("Total", total);
+  for (std::size_t shard = 0; shard < shard_locks.size(); ++shard) {
+    const ShardLockStats& lock = shard_locks[shard];
+    const double acquisitions =
+        lock.acquisitions > 0 ? static_cast<double>(lock.acquisitions) : 1.0;
+    std::snprintf(line, sizeof(line),
+                  "  lock shard %-5zu %9llu acquisitions  contended %6.2f%%  parked %6.2f%%\n",
+                  shard, static_cast<unsigned long long>(lock.acquisitions),
+                  100.0 * static_cast<double>(lock.contended) / acquisitions,
+                  100.0 * static_cast<double>(lock.parked) / acquisitions);
+    out += line;
+  }
   out += consistent ? "  invariants: OK\n"
                     : "  invariants: FAILED (" + consistency_error + ")\n";
   return out;
@@ -377,14 +393,17 @@ Result<ServeReport> RunServe(const ServeOptions& options) {
   report.get_ops = report.gets.count;
   report.put_ops = report.puts.count;
   report.ops = report.total.count;
-  report.ops_per_sec = report.wall_seconds > 0.0
-                           ? static_cast<double>(report.ops) / report.wall_seconds
-                           : 0.0;
+  report.warmup_ops = options.warmup_ops;
+  report.ops_per_sec =
+      report.wall_seconds > 0.0
+          ? static_cast<double>(report.ops + report.warmup_ops) / report.wall_seconds
+          : 0.0;
 
   // Client threads have joined: the engine is quiescent, so unsynchronized
   // per-shard state access is safe.
   report.consistent = true;
   for (std::uint32_t shard = 0; shard < engine.num_shards(); ++shard) {
+    report.shard_locks.push_back(engine.lock_stats(shard));
     const Status status = CheckCacheDirectoryConsistency(engine.context(shard));
     if (!status.ok()) {
       report.consistent = false;

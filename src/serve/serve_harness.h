@@ -16,8 +16,8 @@
 //
 // so the reported p50/p95/p99/p999 per level (local / remote-client /
 // server-memory / disk) combine the paper's technology model with the real
-// concurrency cost of the serving structures. Throughput is wall-clock ops/s
-// over the counted (post-warm-up) phase.
+// concurrency cost of the serving structures. Throughput is every issued op
+// (warm-up and counted) over the storm's wall time, which spans both phases.
 //
 // The key mix is configurable: a Zipf-skewed synthetic key space, or a
 // trace-derived mix replayed from the deterministic Sprite-like workload
@@ -30,7 +30,9 @@
 #include <array>
 #include <cstdint>
 #include <string>
+#include <vector>
 
+#include "src/common/shard_lock.h"
 #include "src/common/status.h"
 #include "src/common/types.h"
 #include "src/core/policy_factory.h"
@@ -115,8 +117,9 @@ struct ServeReport {
   std::uint64_t ops = 0;  // Counted requests (get_ops + put_ops).
   std::uint64_t get_ops = 0;
   std::uint64_t put_ops = 0;
-  double wall_seconds = 0.0;  // Storm wall time, warm-up included.
-  double ops_per_sec = 0.0;   // Counted ops / wall_seconds.
+  std::uint64_t warmup_ops = 0;  // Issued before counting began.
+  double wall_seconds = 0.0;     // Storm wall time, warm-up included.
+  double ops_per_sec = 0.0;      // (ops + warmup_ops) / wall_seconds.
 
   // Gets by satisfying level (paper Figures 4-5 levels), with latency
   // distributions per level and aggregated.
@@ -126,6 +129,10 @@ struct ServeReport {
   ServeLatencyStats puts;
   ServeLatencyStats total;
 
+  // Per-shard lock counters, indexed by shard, over the whole storm: warm-up
+  // and counted ops plus the one SetAccounting pass before it.
+  std::vector<ShardLockStats> shard_locks;
+
   // Post-drain invariant check: CheckCacheDirectoryConsistency over every
   // shard once the client threads have joined (no lost blocks, directory and
   // holder state agree, capacities respected).
@@ -133,7 +140,7 @@ struct ServeReport {
   std::string consistency_error;
 
   // Exports the report as a "coopfs.bench/v1" document (suite
-  // "coopfs_serve"): serve_throughput, serve_get_total, one
+  // "coopfs_serve"): serve_throughput (ops_per_sec), serve_get_total, one
   // serve_get_<level> series per cache level, and serve_put_total, each
   // carrying the additive per-series latency object.
   BenchReport ToBenchReport() const;

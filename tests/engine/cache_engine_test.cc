@@ -40,6 +40,8 @@ TEST(CacheEngineTest, ColdLookupReachesDiskThenHitsLocal) {
   const EngineOutcome warm = engine.Lookup(0, block);
   EXPECT_EQ(warm.read.level, CacheLevel::kLocalMemory);
   EXPECT_EQ(warm.latency_us, config.network.memory_copy);
+  // The fast path takes no lock.
+  EXPECT_EQ(engine.lock_stats().acquisitions, 0u);
 }
 
 TEST(CacheEngineTest, AdmitInstallsAtWriterAndReturnsWriteLatency) {

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/obs/serve_gate.h"
 
 namespace coopfs {
@@ -40,6 +42,36 @@ TEST(ServeHarnessTest, CountsConserveAndLevelsSum) {
   EXPECT_GT(report->ops_per_sec, 0.0);
   EXPECT_EQ(report->client_threads, 2u);
   EXPECT_EQ(report->shards, 2u);  // Derived: pow2 >= threads.
+}
+
+TEST(ServeHarnessTest, ThroughputCountsWarmupOverTheStormWallTime) {
+  const ServeOptions options = SmallOptions();
+  Result<ServeReport> report = RunServe(options);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+
+  // The storm's wall time spans warm-up too, so the rate counts every
+  // issued op.
+  EXPECT_EQ(report->warmup_ops, options.warmup_ops);
+  const double issued = static_cast<double>(report->ops + report->warmup_ops);
+  EXPECT_NEAR(report->ops_per_sec * report->wall_seconds, issued, 1e-6 * issued);
+
+  const BenchReport bench = report->ToBenchReport();
+  ASSERT_FALSE(bench.series.empty());
+  EXPECT_EQ(bench.series.front().name, kServeThroughputSeries);
+  EXPECT_DOUBLE_EQ(bench.series.front().ops_per_sec, report->ops_per_sec);
+  EXPECT_EQ(bench.series.front().items, report->ops + report->warmup_ops);
+
+  // One lock line per shard; every engine call (plus the storm's one
+  // SetAccounting pass over the shards) took exactly one shard lock.
+  ASSERT_EQ(report->shard_locks.size(), report->shards);
+  std::uint64_t acquisitions = 0;
+  for (const ShardLockStats& lock : report->shard_locks) {
+    acquisitions += lock.acquisitions;
+  }
+  EXPECT_EQ(acquisitions, report->ops + report->warmup_ops + report->shards);
+  const std::string text = report->ToString();
+  EXPECT_NE(text.find("lock shard 0"), std::string::npos) << text;
+  EXPECT_NE(text.find("lock shard 1"), std::string::npos) << text;
 }
 
 TEST(ServeHarnessTest, ModeledLatenciesDominateEachLevel) {

@@ -128,5 +128,86 @@ TEST(ServeStressTest, DirectEngineStormKeepsEveryShardConsistent) {
   }
 }
 
+// Every engine call takes its shard's lock exactly once per shard it
+// visits: one for the per-file operations, one per shard for Reboot, Tick
+// and SetAccounting. The summed lock counters must account for each.
+TEST(ServeStressTest, LockAcquisitionsCountEveryEngineCall) {
+  SimulationConfig config;
+  config.client_cache_blocks = 64;
+  config.server_cache_blocks = 256;
+  config.num_clients = 16;
+  config.seed = 91;
+
+  const PolicyParams params;
+  CacheEngine engine(
+      config, config.num_clients,
+      [&params] { return MakePolicy(PolicyKind::kNChance, params); }, 4);
+  const std::uint64_t shards = engine.num_shards();
+  engine.SetAccounting(true);
+
+  constexpr int kThreads = 6;
+  constexpr std::uint64_t kOpsPerThread = 5'000;
+  std::vector<std::uint64_t> expected(kThreads, 0);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(SplitMix64(0x10c4ull + static_cast<std::uint64_t>(t)).Next());
+      std::uint64_t& taken = expected[t];
+      for (std::uint64_t i = 0; i < kOpsPerThread; ++i) {
+        const BlockId block{static_cast<FileId>(rng.NextBelow(97)),
+                            static_cast<BlockIndex>(rng.NextBelow(4))};
+        const ClientId client = static_cast<ClientId>(rng.NextBelow(config.num_clients));
+        switch (rng.NextBelow(200)) {
+          case 0:
+            engine.Reboot(client);
+            taken += shards;
+            break;
+          case 1:
+            engine.Tick();
+            taken += shards;
+            break;
+          case 2:
+            engine.Evict(client, block.file);
+            ++taken;
+            break;
+          case 3:
+            engine.ReadAttr(client, block.file);
+            ++taken;
+            break;
+          case 4:
+            engine.Forward(client, block);
+            ++taken;
+            break;
+          default:
+            if (rng.NextBool(0.5)) {
+              engine.Admit(client, block, static_cast<Micros>(i));
+            } else {
+              engine.Lookup(client, block);
+            }
+            ++taken;
+            break;
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+
+  std::uint64_t calls = shards;  // SetAccounting above.
+  for (const std::uint64_t taken : expected) {
+    calls += taken;
+  }
+  std::uint64_t acquisitions = 0;
+  for (std::uint32_t shard = 0; shard < engine.num_shards(); ++shard) {
+    const ShardLockStats& stats = engine.lock_stats(shard);
+    EXPECT_LE(stats.parked, stats.contended) << "shard " << shard;
+    EXPECT_LE(stats.contended, stats.acquisitions) << "shard " << shard;
+    acquisitions += stats.acquisitions;
+  }
+  EXPECT_EQ(acquisitions, calls);
+}
+
 }  // namespace
 }  // namespace coopfs
