@@ -142,6 +142,19 @@ void BM_DirectorySingletQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_DirectorySingletQuery);
 
+// One Zipf(0.7) draw: uniform double, guide-table bucket, short search. At
+// 2^20 ranks (serve_spill's key space) the 8 MiB CDF no longer fits in
+// cache, so this is the request generator's per-key cost.
+void BM_ZipfSample(benchmark::State& state) {
+  const ZipfSampler zipf(static_cast<std::size_t>(state.range(0)), 0.7);
+  Rng rng(5);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(zipf.Sample(rng));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ZipfSample)->Arg(1000)->Arg(1 << 20);
+
 // End-to-end: events per second through the full simulator, per policy.
 void BM_SimulatorThroughput(benchmark::State& state) {
   static const Trace* trace = [] {

@@ -32,33 +32,22 @@ Directory::Directory(Arena* arena, std::uint32_t shards) {
     shard.owned_arena = std::make_unique<Arena>();
     shard.arena = shard.owned_arena.get();
     shard.holders = FlatHashMap<std::uint64_t, PerBlock>(shard.arena);
-    shard.file_index = FlatHashMap<FileId, FileBlockList>(shard.arena);
     shards_.push_back(std::move(shard));
   }
 }
 
-void Directory::Reserve(std::size_t expected_blocks, std::size_t expected_files) {
-  const std::size_t count = shards_.size();
+void Directory::Reserve(std::size_t expected_blocks) {
+  if (expected_blocks == 0) {
+    return;
+  }
   for (Shard& shard : shards_) {
-    if (expected_blocks > 0) {
-      shard.holders.Reserve(expected_blocks / count + 1);
-    }
-    if (expected_files > 0) {
-      shard.file_index.Reserve(expected_files / count + 1);
-    }
+    shard.holders.Reserve(expected_blocks / shards_.size() + 1);
   }
 }
 
 void Directory::AddHolder(BlockId block, ClientId client) {
   Shard& shard = ShardFor(block.file);
-  auto [per_block, inserted] = shard.holders.TryEmplace(block.Pack());
-  if (inserted) {
-    // First time this block is tracked: register it with its file. Entries
-    // whose holder sets empty later stay registered (and stay in holders)
-    // so re-adding a holder never duplicates the file index.
-    shard.file_index[block.file].push_back(block.Pack(), shard.arena);
-  }
-  HolderList& list = per_block->holders;
+  HolderList& list = shard.holders[block.Pack()].holders;
   if (!list.ContainsValue(client)) {
     list.push_back(client, shard.arena);
     CountOp(DirectoryOpKind::kAddHolder, block, client);
@@ -70,6 +59,10 @@ void Directory::RemoveHolder(BlockId block, ClientId client) {
   if (per_block == nullptr) {
     return;
   }
+  // An emptied entry stays registered until EraseBlock: EraseBlock counts a
+  // kEraseBlock op only for registered blocks, and that count is exported
+  // (counters.directory_ops), so dropping emptied entries here would change
+  // the exported counts.
   if (per_block->holders.SwapRemove(client)) {
     CountOp(DirectoryOpKind::kRemoveHolder, block, client);
   }
@@ -113,36 +106,9 @@ ClientId Directory::PickHolder(BlockId block, ClientId exclude, Rng& rng) const 
   return kNoClient;
 }
 
-std::vector<BlockId> Directory::BlocksOfFile(FileId file) const {
-  std::vector<BlockId> result;
-  const Shard& shard = ShardFor(file);
-  const FileBlockList* blocks = shard.file_index.Find(file);
-  if (blocks == nullptr) {
-    return result;
-  }
-  result.reserve(blocks->size());
-  for (std::uint64_t packed : *blocks) {
-    const BlockId block = BlockId::Unpack(packed);
-    const PerBlock* per_block = shard.holders.Find(packed);
-    if (per_block != nullptr && !per_block->holders.empty()) {
-      result.push_back(block);
-    }
-  }
-  return result;
-}
-
 void Directory::EraseBlock(BlockId block) {
-  Shard& shard = ShardFor(block.file);
-  if (!shard.holders.Erase(block.Pack())) {
-    return;
-  }
-  CountOp(DirectoryOpKind::kEraseBlock, block, kNoClient);
-  FileBlockList* blocks = shard.file_index.Find(block.file);
-  if (blocks != nullptr) {
-    blocks->SwapRemove(block.Pack());
-    if (blocks->empty()) {
-      shard.file_index.Erase(block.file);
-    }
+  if (ShardFor(block.file).holders.Erase(block.Pack())) {
+    CountOp(DirectoryOpKind::kEraseBlock, block, kNoClient);
   }
 }
 
@@ -180,14 +146,6 @@ FlatMapStats Directory::HoldersIndexStats() const {
   FlatMapStats merged;
   for (const Shard& shard : shards_) {
     merged = MergeStats(merged, shard.holders.Stats());
-  }
-  return merged;
-}
-
-FlatMapStats Directory::FileIndexStats() const {
-  FlatMapStats merged;
-  for (const Shard& shard : shards_) {
-    merged = MergeStats(merged, shard.file_index.Stats());
   }
   return merged;
 }

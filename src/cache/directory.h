@@ -4,27 +4,25 @@
 // the individual blocks cached by each client so the server can forward
 // requests. The directory maps each block to the set of clients holding a
 // copy; holder counts make is-this-a-singlet queries O(1) (paper §2.4).
+// Whole-file deletes and invalidations find a file's blocks through the
+// simulation context's known-block index, not through the directory.
 //
-// The directory also maintains a per-file index of blocks with at least one
-// holder so whole-file deletes and invalidations do not scan every cache.
-//
-// Hot-path layout: both maps are open-addressing FlatHashMaps keyed on
+// Hot-path layout: the map is an open-addressing FlatHashMap keyed on
 // packed ids, and each holder set is an InlineVec that stores up to four
 // ClientIds in place — N-Chance actively kills duplicates (§2.4), so almost
 // every tracked block has one or two holders and the common AddHolder /
-// RemoveHolder never allocates. Reserve() pre-sizes both maps from the
+// RemoveHolder never allocates. Reserve() pre-sizes the map from the
 // simulation's aggregate cache capacity so replay runs rehash-free.
 //
 // Scale-out sharding: the directory can be split into N independent shards
-// (power of two), each with its own holder map, file index, and arena.
-// Blocks are routed by a hash of their *file* id, so a file's blocks — and
-// its file-index list — always live in one shard: BlocksOfFile, deletes,
-// and invalidations stay single-shard operations with unchanged iteration
-// order, which keeps every export byte-identical at any shard count (the
-// shard-determinism ctest pins that). One shard (the default) is exactly
-// the pre-sharding layout. Sharding bounds per-map size and rehash cost at
-// 10^5-10^6-client populations and is the unit a future distributed
-// directory (xFS-style manager maps) partitions on.
+// (power of two), each with its own holder map and arena. Blocks are routed
+// by a hash of their *file* id, so a file's blocks always live in one shard
+// and every per-file operation stays single-shard; holder counts, and so
+// every export, are identical at any shard count (the shard-determinism
+// ctest pins that). One shard (the default) is exactly the pre-sharding
+// layout. Sharding bounds per-map size and rehash cost at 10^5-10^6-client
+// populations and is the unit a future distributed directory (xFS-style
+// manager maps) partitions on.
 #ifndef COOPFS_SRC_CACHE_DIRECTORY_H_
 #define COOPFS_SRC_CACHE_DIRECTORY_H_
 
@@ -66,14 +64,10 @@ class Directory {
   // four inline slots cover the common case without heap traffic.
   using HolderList = InlineVec<ClientId, 4>;
 
-  // Blocks of one file with (possibly stale) holder state. Most files have a
-  // handful of tracked blocks at a time; spills draw from the arena.
-  using FileBlockList = InlineVec<std::uint64_t, 4>;
-
   Directory() : Directory(nullptr, 1) {}
 
-  // Both indexes — and any holder-set or file-list spill past the inline
-  // capacity — draw from `arena` (null = global heap). With `shards` > 1
+  // The holder map — and any holder-set spill past the inline capacity —
+  // draws from `arena` (null = global heap). With `shards` > 1
   // (rounded up to a power of two) the directory is split into independent
   // shards routed by file-id hash; each shard then owns a private arena and
   // `arena` is left untouched, so shard storage is reclaimed when the
@@ -83,11 +77,10 @@ class Directory {
   Directory(const Directory&) = delete;
   Directory& operator=(const Directory&) = delete;
 
-  // Pre-sizes the block maps for `expected_blocks` tracked blocks and the
-  // file indexes for `expected_files` files (divided evenly across shards)
-  // so steady-state replay never rehashes. Zero leaves the default growth
-  // behaviour.
-  void Reserve(std::size_t expected_blocks, std::size_t expected_files);
+  // Pre-sizes the block maps for `expected_blocks` tracked blocks (divided
+  // evenly across shards) so steady-state replay never rehashes. Zero
+  // leaves the default growth behaviour.
+  void Reserve(std::size_t expected_blocks);
 
   // Optional mutation counter (observability): when set, every holder
   // addition/removal and block erasure increments `*counter`. Null (the
@@ -121,10 +114,6 @@ class Directory {
   // A holder other than `exclude`, chosen uniformly at random (kNoClient if
   // none). Used to forward a read to one of several caching clients.
   ClientId PickHolder(BlockId block, ClientId exclude, Rng& rng) const;
-
-  // Blocks of `file` with at least one holder. May contain blocks whose
-  // holder sets have since emptied; callers re-check HolderCount.
-  std::vector<BlockId> BlocksOfFile(FileId file) const;
 
   // Drops all state for `block` (delete/invalidate).
   void EraseBlock(BlockId block);
@@ -171,11 +160,10 @@ class Directory {
     }
   }
 
-  // Probe-length / occupancy statistics of the two indexes, aggregated
+  // Probe-length / occupancy statistics of the holder index, aggregated
   // across shards (observability): sizes, buckets, and rehash counts sum;
   // probe lengths take the worst shard / the size-weighted mean.
   FlatMapStats HoldersIndexStats() const;
-  FlatMapStats FileIndexStats() const;
 
  private:
   struct PerBlock {
@@ -189,15 +177,13 @@ class Directory {
     std::unique_ptr<Arena> owned_arena;
     Arena* arena = nullptr;
     FlatHashMap<std::uint64_t, PerBlock> holders;
-    FlatHashMap<FileId, FileBlockList> file_index;
 
-    explicit Shard(Arena* shard_arena)
-        : arena(shard_arena), holders(shard_arena), file_index(shard_arena) {}
+    explicit Shard(Arena* shard_arena) : arena(shard_arena), holders(shard_arena) {}
     Shard(Shard&&) = default;
   };
 
-  // Shard routing hashes the file id (FileShard), so the per-file index
-  // never spans shards.
+  // Shard routing hashes the file id (FileShard), so a file's blocks never
+  // span shards.
   std::size_t ShardIndexFor(FileId file) const {
     return static_cast<std::size_t>(FileShard(file, shard_mask_));
   }

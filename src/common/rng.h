@@ -8,10 +8,12 @@
 #ifndef COOPFS_SRC_COMMON_RNG_H_
 #define COOPFS_SRC_COMMON_RNG_H_
 
+#include <algorithm>
 #include <array>
 #include <cassert>
 #include <cmath>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "src/common/types.h"
@@ -118,11 +120,23 @@ class Rng {
   std::array<std::uint64_t, 4> state_{};
 };
 
-// Draws from a Zipf(s) distribution over ranks [0, n). Precomputes the CDF
-// once so each sample is a binary search: O(log n).
+// Draws from a Zipf(s) distribution over ranks [0, n).
 //
 // Zipf popularity is the standard model for file access skew; the Sprite and
-// Auspex workload generators use it to pick which file a reference touches.
+// Auspex workload generators use it to pick which file a reference touches,
+// and the serving harness to pick each request's block.
+//
+// Sampling inverts the precomputed CDF: the rank is the first index whose
+// CDF is >= u. A guide table (Chen & Asau's index method) makes that O(1)
+// expected instead of a binary search over the whole CDF, which at 10^6
+// ranks is ~20 dependent probes into 8 MiB: guide[k] is the first rank whose
+// CDF is >= k/m, so u's rank lies between guide[k] and guide[k + 1] for
+// k = floor(u * m). Both ends are then widened while they exclude it, so a
+// rounded u * m or k / m can never move the answer (with monotone rounding
+// only the lower end ever moves, when a u just below k / m has u * m round
+// up to k), and only that short range is binary-searched. Every draw
+// therefore returns exactly the rank a full-range search would, and seeded
+// streams are unchanged.
 class ZipfSampler {
  public:
   ZipfSampler(std::size_t n, double s) : cdf_(n) {
@@ -135,13 +149,25 @@ class ZipfSampler {
     for (auto& v : cdf_) {
       v /= sum;
     }
+    BuildGuide();
   }
 
-  std::size_t Sample(Rng& rng) const {
-    const double u = rng.NextDouble();
-    // First index with cdf >= u.
-    std::size_t lo = 0;
-    std::size_t hi = cdf_.size() - 1;
+  std::size_t Sample(Rng& rng) const { return SampleAt(rng.NextDouble()); }
+
+  // The first rank whose CDF is >= u, for u in [0, 1] (the last rank if
+  // none is).
+  std::size_t SampleAt(double u) const {
+    const std::size_t buckets = guide_.size() - 1;
+    const std::size_t k =
+        std::min(static_cast<std::size_t>(u * static_cast<double>(buckets)), buckets - 1);
+    std::size_t lo = guide_[k];
+    std::size_t hi = guide_[k + 1];
+    while (lo > 0 && cdf_[lo - 1] >= u) {
+      --lo;
+    }
+    while (hi + 1 < cdf_.size() && cdf_[hi] < u) {
+      ++hi;
+    }
     while (lo < hi) {
       const std::size_t mid = lo + (hi - lo) / 2;
       if (cdf_[mid] < u) {
@@ -156,7 +182,30 @@ class ZipfSampler {
   std::size_t size() const { return cdf_.size(); }
 
  private:
+  friend class ZipfSamplerTestPeer;
+
+  // Samples an arbitrary non-decreasing CDF ending at 1.0 (tests place CDF
+  // values on guide-bucket boundaries through this).
+  explicit ZipfSampler(std::vector<double> cdf) : cdf_(std::move(cdf)) { BuildGuide(); }
+
+  // One bucket per four ranks: at most 1 MiB of guide next to the 8 MiB CDF
+  // of a 10^6-rank key space, and about four ranks left to search per draw.
+  void BuildGuide() {
+    assert(!cdf_.empty() && cdf_.size() <= UINT32_MAX);
+    const std::size_t buckets = (cdf_.size() + 3) / 4;
+    guide_.resize(buckets + 1);
+    std::size_t rank = 0;
+    for (std::size_t k = 0; k <= buckets; ++k) {
+      const double threshold = static_cast<double>(k) / static_cast<double>(buckets);
+      while (rank + 1 < cdf_.size() && cdf_[rank] < threshold) {
+        ++rank;
+      }
+      guide_[k] = static_cast<std::uint32_t>(rank);
+    }
+  }
+
   std::vector<double> cdf_;
+  std::vector<std::uint32_t> guide_;  // buckets + 1 entries; see above.
 };
 
 }  // namespace coopfs

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <latch>
 #include <memory>
 #include <numeric>
 #include <thread>
@@ -13,6 +14,7 @@
 
 #include "src/common/rng.h"
 #include "src/common/sketch.h"
+#include "src/common/thread_affinity.h"
 #include "src/engine/cache_engine.h"
 #include "src/sim/validation.h"
 #include "src/trace/workload.h"
@@ -183,8 +185,12 @@ BenchReport ServeReport::ToBenchReport() const {
     series.unit = "ops/s";
     series.wall_seconds = wall_seconds;
     series.items = stats.count;
+    // Each series' share of the storm rate, so the get and put series sum
+    // to serve_throughput and the levels to serve_get_total (the wall time
+    // also spans warm-up ops, which no series counts).
     series.ops_per_sec =
-        wall_seconds > 0.0 ? static_cast<double>(stats.count) / wall_seconds : 0.0;
+        ops > 0 ? ops_per_sec * static_cast<double>(stats.count) / static_cast<double>(ops)
+                : 0.0;
     series.peak_rss_bytes = rss;
     if (stats.count > 0) {
       series.latency = ToBenchLatency(stats);
@@ -192,11 +198,10 @@ BenchReport ServeReport::ToBenchReport() const {
     return series;
   };
 
-  // Throughput counts every issued op, as ops_per_sec does; the latency
-  // object still describes the counted ones.
+  // Throughput's items count every issued op, as ops_per_sec does; the
+  // latency object still describes the counted ones.
   BenchSeries throughput = make_series("serve_throughput", total);
   throughput.items = ops + warmup_ops;
-  throughput.ops_per_sec = ops_per_sec;
   report.series.push_back(std::move(throughput));
   report.series.push_back(make_series("serve_get_total", gets));
   report.series.push_back(make_series(
@@ -313,13 +318,21 @@ Result<ServeReport> RunServe(const ServeOptions& options) {
   std::atomic<std::uint64_t> ticket{0};
   std::vector<ThreadSamples> samples(threads);
 
-  const auto storm_start = std::chrono::steady_clock::now();
+  // Each client pins itself to its own allowed CPU and reports ready; the
+  // clock starts once all are, and only then are they released, so the
+  // storm's wall time covers requests alone and the threads really overlap
+  // (unpinned threads started together can share one CPU for a whole run).
+  std::latch ready(threads);
+  std::latch go(1);
   std::vector<std::thread> clients;
   clients.reserve(threads);
   for (std::uint32_t t = 0; t < threads; ++t) {
     clients.emplace_back([&, t] {
+      PinToAllowedCpu(t);
       RequestStream stream(options, t, zipf.get(), pool.empty() ? nullptr : &pool);
       const std::uint64_t total_ops = warmup_budget[t] + counted_budget[t];
+      ready.count_down();
+      go.wait();
       for (std::uint64_t i = 0; i < total_ops; ++i) {
         const Request request = stream.Next();
         const Micros now = static_cast<Micros>(
@@ -350,6 +363,9 @@ Result<ServeReport> RunServe(const ServeOptions& options) {
       }
     });
   }
+  ready.wait();
+  const auto storm_start = std::chrono::steady_clock::now();
+  go.count_down();
   for (std::thread& client : clients) {
     client.join();
   }

@@ -17,7 +17,9 @@
 // so the reported p50/p95/p99/p999 per level (local / remote-client /
 // server-memory / disk) combine the paper's technology model with the real
 // concurrency cost of the serving structures. Throughput is every issued op
-// (warm-up and counted) over the storm's wall time, which spans both phases.
+// (warm-up and counted) over the storm's wall time, which spans both phases
+// and starts once every client thread, pinned to its own allowed CPU, is
+// ready at a start barrier.
 //
 // The key mix is configurable: a Zipf-skewed synthetic key space, or a
 // trace-derived mix replayed from the deterministic Sprite-like workload

@@ -93,7 +93,7 @@ class SimContext {
         config.index_reserve_blocks != 0
             ? config.index_reserve_blocks
             : (num_clients * client_cache_blocks + server_cache_blocks) / 2;
-    directory_.Reserve(reserve_blocks, reserve_blocks / 8 + 1);
+    directory_.Reserve(reserve_blocks);
     seen_blocks_.Reserve(reserve_blocks);
     file_blocks_.Reserve(reserve_blocks / 8 + 1);
   }

@@ -4,6 +4,7 @@
 #include <map>
 #include <set>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -97,26 +98,22 @@ TEST(DirectoryTest, PickHolderCoversAllEligible) {
   }
 }
 
-TEST(DirectoryTest, BlocksOfFileTracksLiveBlocks) {
+TEST(DirectoryTest, EmptiedEntryStaysRegisteredUntilErased) {
   Directory dir;
-  dir.AddHolder(B(7, 0), 1);
-  dir.AddHolder(B(7, 1), 2);
-  dir.AddHolder(B(8, 0), 1);
-  std::vector<BlockId> blocks = dir.BlocksOfFile(7);
-  std::sort(blocks.begin(), blocks.end());
-  EXPECT_EQ(blocks, (std::vector<BlockId>{B(7, 0), B(7, 1)}));
-
-  dir.RemoveHolder(B(7, 1), 2);
-  blocks = dir.BlocksOfFile(7);
-  EXPECT_EQ(blocks, (std::vector<BlockId>{B(7, 0)}));
-}
-
-TEST(DirectoryTest, ReAddingAfterEmptyDoesNotDuplicateFileIndex) {
-  Directory dir;
+  std::uint64_t ops = 0;
+  dir.set_op_counter(&ops);
   dir.AddHolder(B(7, 0), 1);
   dir.RemoveHolder(B(7, 0), 1);
-  dir.AddHolder(B(7, 0), 2);
-  EXPECT_EQ(dir.BlocksOfFile(7).size(), 1u);
+  EXPECT_EQ(dir.HolderCount(B(7, 0)), 0u);
+  EXPECT_EQ(dir.NumTrackedBlocks(), 1u);
+  dir.AddHolder(B(7, 0), 2);  // Re-adding reuses the entry.
+  EXPECT_EQ(dir.NumTrackedBlocks(), 1u);
+  dir.RemoveHolder(B(7, 0), 2);
+  dir.EraseBlock(B(7, 0));  // Counted: the emptied block is still registered.
+  EXPECT_EQ(ops, 5u);
+  EXPECT_EQ(dir.NumTrackedBlocks(), 0u);
+  dir.EraseBlock(B(7, 0));  // No longer registered, so not counted.
+  EXPECT_EQ(ops, 5u);
 }
 
 TEST(DirectoryTest, EraseBlockDropsAllState) {
@@ -125,7 +122,7 @@ TEST(DirectoryTest, EraseBlockDropsAllState) {
   dir.AddHolder(B(7, 0), 2);
   dir.EraseBlock(B(7, 0));
   EXPECT_EQ(dir.HolderCount(B(7, 0)), 0u);
-  EXPECT_TRUE(dir.BlocksOfFile(7).empty());
+  EXPECT_EQ(dir.NumTrackedBlocks(), 0u);
   dir.EraseBlock(B(7, 0));  // Idempotent.
 }
 
@@ -145,6 +142,18 @@ TEST(DirectoryTest, ForEachBlockSkipsEmptyHolderSets) {
 
 // ---- sharded mode (scale-out layout; see the header comment) ----
 
+// Every block with holders and its sorted holder set, in block order.
+std::vector<std::pair<BlockId, std::vector<ClientId>>> HolderSets(const Directory& dir) {
+  std::vector<std::pair<BlockId, std::vector<ClientId>>> sets;
+  dir.ForEachBlock([&sets](BlockId block, const Directory::HolderList& holders) {
+    std::vector<ClientId> sorted(holders.begin(), holders.end());
+    std::sort(sorted.begin(), sorted.end());
+    sets.emplace_back(block, std::move(sorted));
+  });
+  std::sort(sets.begin(), sets.end());
+  return sets;
+}
+
 TEST(DirectoryShardsTest, ShardCountRoundsUpToAPowerOfTwo) {
   EXPECT_EQ(Directory(nullptr, 0).num_shards(), 1u);
   EXPECT_EQ(Directory(nullptr, 1).num_shards(), 1u);
@@ -157,7 +166,7 @@ TEST(DirectoryShardsTest, ShardedBehavesLikeUnsharded) {
   Directory flat(nullptr, 1);
   Directory sharded(nullptr, 8);
   for (Directory* dir : {&flat, &sharded}) {
-    dir->Reserve(1024, 128);
+    dir->Reserve(1024);
     for (std::uint32_t file = 0; file < 50; ++file) {
       for (std::uint32_t idx = 0; idx < 3; ++idx) {
         dir->AddHolder(B(file, idx), file % 7);
@@ -166,20 +175,15 @@ TEST(DirectoryShardsTest, ShardedBehavesLikeUnsharded) {
     }
   }
   EXPECT_EQ(sharded.NumTrackedBlocks(), flat.NumTrackedBlocks());
-  for (std::uint32_t file = 0; file < 50; ++file) {
-    // File-keyed routing keeps a file's blocks in one shard, so the
-    // per-file view — the delete/invalidate iteration — is identical,
-    // order included.
-    EXPECT_EQ(sharded.BlocksOfFile(file), flat.BlocksOfFile(file)) << "file " << file;
-    for (std::uint32_t idx = 0; idx < 3; ++idx) {
-      EXPECT_EQ(sharded.HolderCount(B(file, idx)), flat.HolderCount(B(file, idx)));
-    }
-  }
+  EXPECT_EQ(HolderSets(sharded), HolderSets(flat));
 
-  // Erase and empty-set behaviour match too.
-  flat.EraseBlock(B(10, 1));
-  sharded.EraseBlock(B(10, 1));
-  EXPECT_EQ(sharded.BlocksOfFile(10), flat.BlocksOfFile(10));
+  // Remove, erase and empty-set behaviour match too.
+  for (Directory* dir : {&flat, &sharded}) {
+    dir->EraseBlock(B(10, 1));
+    dir->RemoveHolder(B(11, 2), 4);
+    dir->RemoveHolder(B(11, 2), 5);
+  }
+  EXPECT_EQ(HolderSets(sharded), HolderSets(flat));
   EXPECT_EQ(sharded.NumTrackedBlocks(), flat.NumTrackedBlocks());
 }
 
@@ -191,8 +195,6 @@ TEST(DirectoryShardsTest, AggregatedStatsCoverAllShards) {
   const FlatMapStats holders = dir.HoldersIndexStats();
   EXPECT_EQ(holders.size, 200u);
   EXPECT_GT(holders.buckets, 0u);
-  const FlatMapStats files = dir.FileIndexStats();
-  EXPECT_EQ(files.size, 200u);
 
   const Directory::DuplicationCounts dup = dir.CountDuplication();
   EXPECT_EQ(dup.singlets, 200u);

@@ -1,12 +1,24 @@
 #include "src/common/rng.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 namespace coopfs {
+
+// Builds samplers over hand-placed CDFs through ZipfSampler's private
+// constructor.
+class ZipfSamplerTestPeer {
+ public:
+  static ZipfSampler FromCdf(std::vector<double> cdf) { return ZipfSampler(std::move(cdf)); }
+};
+
 namespace {
 
 TEST(SplitMix64Test, KnownSequenceIsStable) {
@@ -151,6 +163,123 @@ TEST(ZipfSamplerTest, SingleElementAlwaysZero) {
   ZipfSampler zipf(1, 1.0);
   for (int i = 0; i < 20; ++i) {
     EXPECT_EQ(zipf.Sample(rng), 0u);
+  }
+}
+
+// The Zipf CDF rebuilt independently of the sampler.
+std::vector<double> ReferenceCdf(std::size_t n, double s) {
+  std::vector<double> cdf(n);
+  double sum = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    sum += 1.0 / std::pow(static_cast<double>(i + 1), s);
+    cdf[i] = sum;
+  }
+  for (double& v : cdf) {
+    v /= sum;
+  }
+  return cdf;
+}
+
+// The full-range answer: the first rank whose CDF is >= u, else the last.
+std::size_t FirstAtLeast(const std::vector<double>& cdf, double u) {
+  const auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
+  return it == cdf.end() ? cdf.size() - 1 : static_cast<std::size_t>(it - cdf.begin());
+}
+
+// `u` and its two neighbouring doubles, kept inside [0, 1].
+void AddWithNeighbours(double u, std::vector<double>& inputs) {
+  for (const double v : {std::nextafter(u, 0.0), u, std::nextafter(u, 2.0)}) {
+    if (v >= 0.0 && v <= 1.0) {
+      inputs.push_back(v);
+    }
+  }
+}
+
+// Counts the inputs where SampleAt disagrees with the full-range search and
+// describes the first.
+std::string Mismatches(const ZipfSampler& zipf, const std::vector<double>& cdf,
+                       const std::vector<double>& inputs) {
+  std::size_t count = 0;
+  std::string first;
+  for (const double u : inputs) {
+    const std::size_t got = zipf.SampleAt(u);
+    const std::size_t want = FirstAtLeast(cdf, u);
+    if (got != want && count++ == 0) {
+      char line[128];
+      std::snprintf(line, sizeof(line), "u=%a: got rank %zu, want %zu", u, got, want);
+      first = line;
+    }
+  }
+  return count == 0 ? "" : std::to_string(count) + " mismatches, first " + first;
+}
+
+TEST(ZipfSamplerTest, GuideTableMatchesFullBinarySearch) {
+  const std::vector<std::pair<std::size_t, double>> shapes = {
+      {1, 1.0}, {2, 0.7}, {7, 0.0}, {100, 1.2}, {4099, 0.75}, {1'048'576, 0.7}};
+  for (const auto& [n, s] : shapes) {
+    SCOPED_TRACE("n=" + std::to_string(n) + " s=" + std::to_string(s));
+    const ZipfSampler zipf(n, s);
+    const std::vector<double> cdf = ReferenceCdf(n, s);
+
+    std::vector<double> draws(1'000'000);
+    Rng rng(n);
+    for (double& u : draws) {
+      u = rng.NextDouble();
+    }
+    EXPECT_EQ(Mismatches(zipf, cdf, draws), "");
+
+    std::vector<double> boundaries = {0.0, std::nextafter(1.0, 0.0)};
+    const std::size_t edge = std::min<std::size_t>(64, n);
+    for (std::size_t i = 0; i < edge; ++i) {
+      AddWithNeighbours(cdf[i], boundaries);
+      AddWithNeighbours(cdf[n - 1 - i], boundaries);
+    }
+    EXPECT_EQ(Mismatches(zipf, cdf, boundaries), "");
+
+    Rng a(7);
+    Rng b(7);
+    for (int i = 0; i < 1000; ++i) {
+      ASSERT_EQ(zipf.Sample(a), zipf.SampleAt(b.NextDouble()));
+    }
+  }
+}
+
+// Zipf CDF values almost never fall within a rounding error of a guide
+// bucket boundary, so a hand-placed CDF puts them there: every boundary
+// k/m, the double just below it, and two values inside each bucket. At
+// some boundaries u * m rounds up to k for the u just below k/m, which
+// lands u in the bucket above its rank and needs the downward widening.
+TEST(ZipfSamplerTest, GuideTableIsExactAtBucketBoundaries) {
+  for (const std::size_t buckets : {25, 100}) {
+    SCOPED_TRACE("buckets=" + std::to_string(buckets));
+    const auto m = static_cast<double>(buckets);
+    std::vector<double> cdf;
+    int straddles = 0;  // Inputs just below k/m that u * m rounds up to k.
+    for (std::size_t k = 0; k < buckets; ++k) {
+      const double lower = static_cast<double>(k) / m;
+      const double upper = static_cast<double>(k + 1) / m;
+      const double below_upper = std::nextafter(upper, 0.0);
+      cdf.push_back(k == 0 ? 0.25 / m : lower);
+      cdf.push_back((static_cast<double>(k) + 0.4) / m);
+      cdf.push_back((static_cast<double>(k) + 0.7) / m);
+      cdf.push_back(k + 1 == buckets ? 1.0 : below_upper);
+      if (k + 1 < buckets && static_cast<std::size_t>(below_upper * m) > k) {
+        ++straddles;
+      }
+    }
+    ASSERT_TRUE(std::is_sorted(cdf.begin(), cdf.end()));
+    ASSERT_GT(straddles, 0) << "no input exercises the downward widening";
+    const ZipfSampler zipf = ZipfSamplerTestPeer::FromCdf(cdf);
+    ASSERT_EQ(zipf.size(), 4 * buckets);
+
+    std::vector<double> inputs;
+    for (const double v : cdf) {
+      AddWithNeighbours(v, inputs);
+    }
+    for (std::size_t k = 0; k <= buckets; ++k) {
+      AddWithNeighbours(static_cast<double>(k) / m, inputs);
+    }
+    EXPECT_EQ(Mismatches(zipf, cdf, inputs), "");
   }
 }
 

@@ -13,39 +13,10 @@
 #include <thread>
 #include <vector>
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
+#include "src/common/thread_affinity.h"
 
 namespace coopfs {
 namespace {
-
-// Pins the calling thread to the index-th CPU it may run on. Threads a
-// process starts together can stay on the CPU they were created on for
-// longer than this test runs, which would serialize them and leave the lock
-// uncontended; pinning makes them overlap. Returns false where it could
-// not pin (no affinity API, or fewer than two CPUs allowed).
-bool SpreadOverCpus(int index) {
-#if defined(__linux__)
-  cpu_set_t allowed;
-  if (sched_getaffinity(0, sizeof(allowed), &allowed) != 0 || CPU_COUNT(&allowed) < 2) {
-    return false;
-  }
-  int skip = index % CPU_COUNT(&allowed);
-  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
-    if (CPU_ISSET(cpu, &allowed) && skip-- == 0) {
-      cpu_set_t one;
-      CPU_ZERO(&one);
-      CPU_SET(cpu, &one);
-      return pthread_setaffinity_np(pthread_self(), sizeof(one), &one) == 0;
-    }
-  }
-#else
-  (void)index;
-#endif
-  return false;
-}
 
 TEST(ShardLockTest, ExcludesUnderOversubscription) {
   // More threads than cores, so holders get descheduled mid-section and
@@ -62,7 +33,9 @@ TEST(ShardLockTest, ExcludesUnderOversubscription) {
     threads.emplace_back([&, t] {
       // Start together on distinct CPUs, so the increments overlap instead
       // of running one thread after another.
-      pinned.fetch_add(SpreadOverCpus(t) ? 1 : 0);
+      const bool spread =
+          AllowedCpuCount() >= 2 && PinToAllowedCpu(static_cast<unsigned>(t));
+      pinned.fetch_add(spread ? 1 : 0);
       ready.fetch_add(1);
       while (ready.load() < kThreads) {
         std::this_thread::yield();

@@ -74,6 +74,31 @@ TEST(ServeHarnessTest, ThroughputCountsWarmupOverTheStormWallTime) {
   EXPECT_NE(text.find("lock shard 1"), std::string::npos) << text;
 }
 
+TEST(ServeHarnessTest, SeriesRatesSumToTheStormRate) {
+  const ServeOptions options = SmallOptions();
+  ASSERT_GT(options.warmup_ops, 0u);  // The warm-up share is what must not leak.
+  Result<ServeReport> report = RunServe(options);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+
+  const BenchReport bench = report->ToBenchReport();
+  const auto rate = [&bench](const char* name) {
+    for (const BenchSeries& series : bench.series) {
+      if (series.name == name) {
+        return series.ops_per_sec;
+      }
+    }
+    ADD_FAILURE() << "no series " << name;
+    return 0.0;
+  };
+  const double throughput = rate(kServeThroughputSeries);
+  const double gets = rate(kServeGetTotalSeries);
+  EXPECT_GT(throughput, 0.0);
+  EXPECT_NEAR(gets + rate(kServePutTotalSeries), throughput, 1e-9 * throughput);
+  EXPECT_NEAR(rate(kServeGetLocalSeries) + rate(kServeGetRemoteClientSeries) +
+                  rate(kServeGetServerMemorySeries) + rate(kServeGetServerDiskSeries),
+              gets, 1e-9 * throughput);
+}
+
 TEST(ServeHarnessTest, ModeledLatenciesDominateEachLevel) {
   ServeOptions options = SmallOptions();
   options.ops = 8'000;

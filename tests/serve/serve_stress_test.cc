@@ -7,10 +7,12 @@
 
 #include <atomic>
 #include <cstdint>
+#include <latch>
 #include <thread>
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/common/thread_affinity.h"
 #include "src/core/policy_factory.h"
 #include "src/engine/cache_engine.h"
 #include "src/serve/serve_harness.h"
@@ -83,11 +85,13 @@ TEST(ServeStressTest, DirectEngineStormKeepsEveryShardConsistent) {
   constexpr int kThreads = 8;
   constexpr std::uint64_t kOpsPerThread = 8'000;
   std::atomic<std::uint64_t> ticket{0};
+  std::latch start(kThreads);  // Release the threads together, as RunServe does.
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       Rng rng(SplitMix64(0xfeedull + static_cast<std::uint64_t>(t)).Next());
+      start.arrive_and_wait();
       for (std::uint64_t i = 0; i < kOpsPerThread; ++i) {
         const BlockId block{static_cast<FileId>(rng.NextBelow(211)),
                             static_cast<BlockIndex>(rng.NextBelow(4))};
@@ -148,12 +152,14 @@ TEST(ServeStressTest, LockAcquisitionsCountEveryEngineCall) {
   constexpr int kThreads = 6;
   constexpr std::uint64_t kOpsPerThread = 5'000;
   std::vector<std::uint64_t> expected(kThreads, 0);
+  std::latch start(kThreads);
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       Rng rng(SplitMix64(0x10c4ull + static_cast<std::uint64_t>(t)).Next());
       std::uint64_t& taken = expected[t];
+      start.arrive_and_wait();
       for (std::uint64_t i = 0; i < kOpsPerThread; ++i) {
         const BlockId block{static_cast<FileId>(rng.NextBelow(97)),
                             static_cast<BlockIndex>(rng.NextBelow(4))};
@@ -207,6 +213,37 @@ TEST(ServeStressTest, LockAcquisitionsCountEveryEngineCall) {
     acquisitions += stats.acquisitions;
   }
   EXPECT_EQ(acquisitions, calls);
+}
+
+// RunServe pins each client thread to its own allowed CPU and releases
+// them together, so a storm of hot keys on one shard must contend for its
+// lock. Unpinned threads started together can share one CPU for a whole
+// short storm and never contend.
+TEST(ServeStressTest, StormsContendWhenTwoCpusAllowed) {
+  if (AllowedCpuCount() < 2) {
+    GTEST_SKIP() << "fewer than 2 CPUs allowed";
+  }
+  std::uint64_t contended = 0;
+  int storms = 0;
+  while (storms < 5 && contended == 0) {
+    ServeOptions options;
+    options.client_threads = 4;
+    options.shards = 1;
+    options.num_clients = 16;
+    options.ops = 20'000;
+    options.warmup_ops = 0;
+    options.num_files = 200;
+    options.seed = 500 + static_cast<std::uint64_t>(storms++);
+    options.config.client_cache_blocks = 64;
+    options.config.server_cache_blocks = 256;
+
+    Result<ServeReport> report = RunServe(options);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    for (const ShardLockStats& lock : report->shard_locks) {
+      contended += lock.contended;
+    }
+  }
+  EXPECT_GT(contended, 0u) << "no contended acquisition in " << storms << " storms";
 }
 
 }  // namespace
