@@ -2,6 +2,8 @@
 // google-benchmark. These are engineering benchmarks (not paper figures):
 // the trace-replay rate of the whole simulator is bounded by BlockCache,
 // Directory, and LruMap operation costs.
+#include <memory>
+
 #include <benchmark/benchmark.h>
 
 #include "src/cache/block_cache.h"
@@ -10,6 +12,7 @@
 #include "src/common/flat_hash_map.h"
 #include "src/common/rng.h"
 #include "src/core/policy_factory.h"
+#include "src/engine/cache_engine.h"
 #include "src/sim/simulator.h"
 #include "src/trace/workload.h"
 
@@ -141,6 +144,36 @@ void BM_DirectorySingletQuery(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_DirectorySingletQuery);
+
+// A fast-path CacheEngine::Lookup that hits the requester's own cache (the
+// replay's most common read), on a warmed cache of state.range(0) blocks.
+// Beforehand another client reads state.range(1) further blocks, so the
+// world knows many more blocks than the requester caches, as in a long
+// replay. A local hit reads the client cache's index slot and nothing of
+// the directory.
+void BM_FastPathLocalHit(benchmark::State& state) {
+  const auto capacity = static_cast<std::uint32_t>(state.range(0));
+  const auto others = static_cast<std::uint32_t>(state.range(1));
+  SimulationConfig config;
+  config.client_cache_blocks = capacity;
+  config.server_cache_blocks = 2 * static_cast<std::size_t>(capacity);
+  config.warmup_events = 0;
+  const std::unique_ptr<Policy> policy = MakePolicy(PolicyKind::kNChance);
+  CacheEngine engine(config, 2, *policy);
+  for (std::uint32_t i = 0; i < others; ++i) {
+    engine.Lookup(1, BlockId{capacity + i, 0});
+  }
+  for (std::uint32_t i = 0; i < capacity; ++i) {
+    engine.Lookup(0, BlockId{i, 0});
+  }
+  Rng rng(1);
+  for (auto _ : state) {
+    const BlockId block{static_cast<FileId>(rng.NextBelow(capacity)), 0};
+    benchmark::DoNotOptimize(engine.Lookup(0, block));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_FastPathLocalHit)->Args({2048, 0})->Args({2048, 1 << 20});
 
 // One Zipf(0.7) draw: uniform double, guide-table bucket, short search. At
 // 2^20 ranks (serve_spill's key space) the 8 MiB CDF no longer fits in

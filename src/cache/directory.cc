@@ -1,5 +1,7 @@
 #include "src/cache/directory.h"
 
+#include <optional>
+
 namespace coopfs {
 
 namespace {
@@ -50,6 +52,7 @@ void Directory::AddHolder(BlockId block, ClientId client) {
   HolderList& list = shard.holders[block.Pack()].holders;
   if (!list.ContainsValue(client)) {
     list.push_back(client, shard.arena);
+    list.set_tag(true);
     CountOp(DirectoryOpKind::kAddHolder, block, client);
   }
 }
@@ -107,7 +110,8 @@ ClientId Directory::PickHolder(BlockId block, ClientId exclude, Rng& rng) const 
 }
 
 void Directory::EraseBlock(BlockId block) {
-  if (ShardFor(block.file).holders.Erase(block.Pack())) {
+  const std::optional<PerBlock> erased = ShardFor(block.file).holders.Extract(block.Pack());
+  if (erased.has_value() && erased->registered()) {
     CountOp(DirectoryOpKind::kEraseBlock, block, kNoClient);
   }
 }

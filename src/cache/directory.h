@@ -4,8 +4,15 @@
 // the individual blocks cached by each client so the server can forward
 // requests. The directory maps each block to the set of clients holding a
 // copy; holder counts make is-this-a-singlet queries O(1) (paper §2.4).
-// Whole-file deletes and invalidations find a file's blocks through the
-// simulation context's known-block index, not through the directory.
+//
+// It is also the record of which blocks exist: Note() gives a block its
+// entry on first sight, before any client holds it, and the simulation
+// context appends each newly noted block to its file's known-block list,
+// which whole-file deletes and attribute refreshes walk. An entry made by
+// Note() is unregistered until its first AddHolder(); only registered
+// entries count a kEraseBlock op, so noting adds no directory op. The
+// registered bit lives in a spare bit of the holder list's capacity word,
+// keeping a map slot at 32 bytes.
 //
 // Hot-path layout: the map is an open-addressing FlatHashMap keyed on
 // packed ids, and each holder set is an InlineVec that stores up to four
@@ -91,7 +98,20 @@ class Directory {
   // mutations the op counter counts, with block/client detail.
   void set_observer(DirectoryObserver* observer) { observer_ = observer; }
 
-  // Records that `client` now caches `block`. Idempotent.
+  // Gives `block` an (unregistered) entry if it has none. Returns true on
+  // first sight: the block had no entry, i.e. it was never noted or held, or
+  // was erased since. Counts no op.
+  bool Note(BlockId block) {
+    return ShardFor(block.file).holders.TryEmplace(block.Pack()).second;
+  }
+
+  // True if `block` has an entry: noted or held, and not erased since.
+  bool Known(BlockId block) const {
+    return ShardFor(block.file).holders.Find(block.Pack()) != nullptr;
+  }
+
+  // Records that `client` now caches `block`, registering the entry.
+  // Idempotent.
   void AddHolder(BlockId block, ClientId client);
 
   // Records that `client` no longer caches `block`. No-op if not a holder.
@@ -115,9 +135,11 @@ class Directory {
   // none). Used to forward a read to one of several caching clients.
   ClientId PickHolder(BlockId block, ClientId exclude, Rng& rng) const;
 
-  // Drops all state for `block` (delete/invalidate).
+  // Drops all state for `block` (delete/invalidate). Counts a kEraseBlock
+  // op only if a holder was ever added to the entry.
   void EraseBlock(BlockId block);
 
+  // Blocks with an entry, registered or only noted.
   std::size_t NumTrackedBlocks() const;
 
   // Number of shards (power of two; 1 = unsharded layout).
@@ -168,6 +190,9 @@ class Directory {
  private:
   struct PerBlock {
     HolderList holders;  // Small; linear scans are fine.
+
+    // Set by the first AddHolder; an entry made by Note starts unset.
+    bool registered() const { return holders.tag(); }
   };
 
   // One independent partition of the block space. `arena` is the shard's
@@ -177,6 +202,14 @@ class Directory {
     std::unique_ptr<Arena> owned_arena;
     Arena* arena = nullptr;
     FlatHashMap<std::uint64_t, PerBlock> holders;
+    // The map's slot layout (packed id, then value). The registered bit must
+    // not grow it: a 40-byte slot costs more memory than the separate
+    // known-block set it replaced.
+    struct SlotShape {
+      std::uint64_t key;
+      PerBlock value;
+    };
+    static_assert(sizeof(SlotShape) == 32, "directory map slot must stay 32 bytes");
 
     explicit Shard(Arena* shard_arena) : arena(shard_arena), holders(shard_arena) {}
     Shard(Shard&&) = default;

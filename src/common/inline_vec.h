@@ -56,12 +56,19 @@ class InlineVec {
 
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
-  std::size_t capacity() const { return capacity_ & ~kArenaFlag; }
+  std::size_t capacity() const { return capacity_ & kCapacityMask; }
   static constexpr std::size_t inline_capacity() { return N; }
-  bool inlined() const { return capacity_ == N; }
+  bool inlined() const { return (capacity_ & kCapacityMask) == N; }
   // Whether the spilled storage came from an Arena (and so must not be
   // delete[]d). Always false while inline.
   bool arena_backed() const { return (capacity_ & kArenaFlag) != 0; }
+
+  // One owner-defined bit kept in the capacity word, so it costs no space
+  // (the directory marks registered holder sets with it). It survives growth
+  // and clear(), travels with copies and moves, and a moved-from vector
+  // loses it.
+  bool tag() const { return (capacity_ & kTagFlag) != 0; }
+  void set_tag(bool on) { capacity_ = on ? (capacity_ | kTagFlag) : (capacity_ & ~kTagFlag); }
 
   T* data() { return inlined() ? inline_ : heap_; }
   const T* data() const { return inlined() ? inline_ : heap_; }
@@ -142,9 +149,12 @@ class InlineVec {
   }
 
  private:
-  // MSB of capacity_ marks arena-backed heap storage. Inline capacities are
-  // tiny and growth doubles from N, so real capacities never reach the flag.
+  // The two high bits of capacity_ are flags: arena-backed heap storage and
+  // the owner's tag. Inline capacities are tiny and growth doubles from N, so
+  // real capacities never reach them.
   static constexpr std::uint32_t kArenaFlag = 0x80000000u;
+  static constexpr std::uint32_t kTagFlag = 0x40000000u;
+  static constexpr std::uint32_t kCapacityMask = ~(kArenaFlag | kTagFlag);
 
   void Grow(Arena* arena) {
     const std::size_t new_capacity = capacity() * 2;
@@ -157,9 +167,10 @@ class InlineVec {
       fresh = new T[new_capacity];
     }
     std::memcpy(fresh, data(), size_ * sizeof(T));
+    const std::uint32_t tag = capacity_ & kTagFlag;
     Release();
     heap_ = fresh;
-    capacity_ = static_cast<std::uint32_t>(new_capacity) | flag;
+    capacity_ = static_cast<std::uint32_t>(new_capacity) | flag | tag;
   }
 
   void Release() {
@@ -173,12 +184,13 @@ class InlineVec {
   // arena, and holder-list copies (policy snapshots) are cold-path anyway.
   void CopyFrom(const InlineVec& other) {
     size_ = other.size_;
+    const std::uint32_t tag = other.capacity_ & kTagFlag;
     if (other.inlined()) {
-      capacity_ = N;
+      capacity_ = N | tag;
       std::memcpy(inline_, other.inline_, size_ * sizeof(T));
     } else {
-      capacity_ = static_cast<std::uint32_t>(other.capacity());
-      heap_ = new T[capacity_];
+      heap_ = new T[other.capacity()];
+      capacity_ = static_cast<std::uint32_t>(other.capacity()) | tag;
       std::memcpy(heap_, other.heap_, size_ * sizeof(T));
     }
   }
@@ -191,8 +203,8 @@ class InlineVec {
       std::memcpy(inline_, other.inline_, size_ * sizeof(T));
     } else {
       heap_ = other.heap_;
-      other.capacity_ = N;
     }
+    other.capacity_ = N;
     other.size_ = 0;
   }
 

@@ -82,7 +82,7 @@ CacheEngine::CacheEngine(const SimulationConfig& config, std::uint32_t num_clien
 
 EngineOutcome CacheEngine::LookupLocked(Shard& shard, ClientId client, BlockId block) {
   SimContext& ctx = *shard.context;
-  ctx.NoteBlock(block);
+  ctx.NoteAccess(client, block);
   TraceRecorder* tracer = ctx.tracer();
   if (tracer != nullptr) {
     tracer->BeginRead(client, block, ctx.accounting());

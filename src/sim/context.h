@@ -61,7 +61,6 @@ class SimContext {
         tracer_(config.trace_recorder),
         sampler_(config.snapshot_sampler),
         client_cache_blocks_(client_cache_blocks),
-        seen_blocks_(config.arena),
         file_blocks_(config.arena) {
     if (counters_enabled_) {
       directory_.set_op_counter(&counters_.directory_ops);
@@ -81,20 +80,18 @@ class SimContext {
     for (std::uint32_t s = 0; s < servers; ++s) {
       server_caches_.push_back(MakeCache(server_cache_blocks / servers));
     }
-    // Pre-size the replay hash indexes so steady-state replay rarely (in
-    // practice never) rehashes. The directory tracks at most the aggregate
-    // client cache contents, but duplication and partially filled caches
-    // keep real occupancy well below that bound, so the derived default
-    // targets half of it: measured end-of-replay occupancy sits around a
-    // third of aggregate capacity, and a workload that does exceed the hint
-    // pays one amortized table growth, visible in the "flat_map/rehash"
-    // profiler span. An explicit hint is honored exactly.
+    // Pre-size the replay hash indexes so steady-state replay rarely
+    // rehashes. The directory holds an entry for every known block, which
+    // the aggregate cache capacity does not bound (blocks evicted
+    // everywhere keep theirs until their file is deleted), so the derived
+    // default is a sizing guess: half of that capacity. A workload that
+    // exceeds the hint pays amortized table growth, visible in the
+    // "flat_map/rehash" profiler span. An explicit hint is honored exactly.
     const std::size_t reserve_blocks =
         config.index_reserve_blocks != 0
             ? config.index_reserve_blocks
             : (num_clients * client_cache_blocks + server_cache_blocks) / 2;
     directory_.Reserve(reserve_blocks);
-    seen_blocks_.Reserve(reserve_blocks);
     file_blocks_.Reserve(reserve_blocks / 8 + 1);
   }
 
@@ -262,13 +259,26 @@ class SimContext {
     }
   }
 
-  // ---- Known-blocks index ----
+  // ---- Known blocks ----
   // The simulator has no file metadata beyond the trace, so it learns each
-  // file's blocks as they appear. Whole-file deletes and read-attribute
-  // refreshes iterate this index instead of scanning caches.
+  // file's blocks as they appear. The directory records which blocks exist
+  // (Directory::Note); each file keeps its blocks in first-seen order, and
+  // whole-file deletes and read-attribute refreshes walk that list instead
+  // of scanning caches.
   void NoteBlock(BlockId block) {
-    if (seen_blocks_.Insert(block.Pack())) {
+    if (directory_.Note(block)) {
       file_blocks_[block.file].push_back(block, arena_);
+    }
+  }
+
+  // NoteBlock for a read or write by `client`, skipped when the client
+  // already caches the block: a cached copy was noted when it was read or
+  // written, and Delete purges every copy before it forgets the file
+  // (CheckCacheDirectoryConsistency checks both). The policy's own local
+  // probe then finds the index slot this check loaded.
+  void NoteAccess(ClientId client, BlockId block) {
+    if (!client_cache(client).Contains(block)) {
+      NoteBlock(block);
     }
   }
 
@@ -280,17 +290,9 @@ class SimContext {
     return blocks == nullptr ? kEmpty : *blocks;
   }
 
-  // Forgets a deleted file's blocks (ids are never reused by the workloads).
-  void ForgetFile(FileId file) {
-    KnownBlockList* blocks = file_blocks_.Find(file);
-    if (blocks == nullptr) {
-      return;
-    }
-    for (const BlockId& block : *blocks) {
-      seen_blocks_.Erase(block.Pack());
-    }
-    file_blocks_.Erase(file);
-  }
+  // Forgets a deleted file's block list (ids are never reused by the
+  // workloads). The caller has already erased each block's directory entry.
+  void ForgetFile(FileId file) { file_blocks_.Erase(file); }
 
  private:
   // Caches live either on the heap (no arena) or placement-constructed in
@@ -333,7 +335,6 @@ class SimContext {
   SnapshotSampler* sampler_ = nullptr;
   std::size_t client_cache_blocks_ = 0;
 
-  FlatHashSet<std::uint64_t> seen_blocks_;
   FlatHashMap<FileId, KnownBlockList> file_blocks_;
 };
 

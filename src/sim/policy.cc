@@ -117,7 +117,7 @@ void PolicyBase::InstallInServerCache(BlockId block) {
 }
 
 void PolicyBase::Write(ClientId client, BlockId block) {
-  ctx().NoteBlock(block);
+  ctx().NoteAccess(client, block);
   ctx().CountWrite();
   ctx().TraceWrite(client, block);
 

@@ -1,6 +1,8 @@
 #include "src/sim/validation.h"
 
+#include <cstdint>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 namespace coopfs {
@@ -56,9 +58,53 @@ Status CheckClassIndex(BlockCache& cache, std::uint32_t client) {
   return Status::Ok();
 }
 
+// Every cached copy, client or server, must be of a known block: one with a
+// directory entry, listed exactly once in its file's known-block list. Reads
+// and writes of a block the requester already caches skip NoteBlock on the
+// strength of this. The set of listed blocks is built per check, one file at
+// a time as cached blocks name them.
+class KnownBlockCheck {
+ public:
+  explicit KnownBlockCheck(SimContext& context) : context_(context) {}
+
+  Status Check(BlockId block, const std::string& cached_at) {
+    if (!context_.directory().Known(block)) {
+      return Status::Internal(cached_at + " caches " + block.ToString() +
+                              " but it has no directory entry");
+    }
+    if (Status status = ListFile(block.file); !status.ok()) {
+      return status;
+    }
+    if (known_.count(block.Pack()) == 0) {
+      return Status::Internal(cached_at + " caches " + block.ToString() +
+                              " but it is not a known block of its file");
+    }
+    return Status::Ok();
+  }
+
+ private:
+  Status ListFile(FileId file) {
+    if (!listed_files_.insert(file).second) {
+      return Status::Ok();
+    }
+    for (const BlockId& block : context_.KnownBlocksOfFile(file)) {
+      if (!known_.insert(block.Pack()).second) {
+        return Status::Internal("file " + std::to_string(file) + " lists known block " +
+                                block.ToString() + " twice");
+      }
+    }
+    return Status::Ok();
+  }
+
+  SimContext& context_;
+  std::unordered_set<FileId> listed_files_;
+  std::unordered_set<std::uint64_t> known_;
+};
+
 }  // namespace
 
 Status CheckCacheDirectoryConsistency(SimContext& context) {
+  KnownBlockCheck known(context);
   // Caches -> directory, capacity, and N-Chance metadata.
   for (std::uint32_t c = 0; c < context.num_clients(); ++c) {
     BlockCache& cache = context.client_cache(c);
@@ -67,6 +113,7 @@ Status CheckCacheDirectoryConsistency(SimContext& context) {
                               std::to_string(cache.size()) + " > " +
                               std::to_string(cache.capacity()));
     }
+    const std::string cached_at = "client " + std::to_string(c);
     Status status = Status::Ok();
     cache.ForEachEntry([&](const CacheEntry& entry) {
       if (!status.ok()) {
@@ -87,7 +134,9 @@ Status CheckCacheDirectoryConsistency(SimContext& context) {
                                   entry.block.ToString() +
                                   " marked singlet but it has " +
                                   std::to_string(holders.size()) + " holders");
+        return;
       }
+      status = known.Check(entry.block, cached_at);
     });
     if (!status.ok()) {
       return status;
@@ -120,8 +169,18 @@ Status CheckCacheDirectoryConsistency(SimContext& context) {
   }
 
   for (std::uint32_t server = 0; server < context.num_servers(); ++server) {
-    if (context.server_cache(server).size() > context.server_cache(server).capacity()) {
+    const BlockCache& cache = context.server_cache(server);
+    if (cache.size() > cache.capacity()) {
       return Status::Internal("server " + std::to_string(server) + " cache over capacity");
+    }
+    const std::string cached_at = "server " + std::to_string(server);
+    cache.ForEachEntry([&](const CacheEntry& entry) {
+      if (status.ok()) {
+        status = known.Check(entry.block, cached_at);
+      }
+    });
+    if (!status.ok()) {
+      return status;
     }
   }
   return Status::Ok();

@@ -12,6 +12,8 @@ namespace coopfs {
 //   * every cached block at client c has c in its directory holder set;
 //   * every directory holder entry corresponds to a cached block;
 //   * no cache exceeds its capacity;
+//   * every block a client or server caches has a directory entry and is
+//     listed, once, among its file's known blocks;
 //   * N-Chance metadata is coherent: a copy that is recirculating or
 //     flag-marked singlet really is the only client copy;
 //   * each client cache's eviction-class index matches its marks: LRU

@@ -126,6 +126,40 @@ TEST(DirectoryTest, EraseBlockDropsAllState) {
   dir.EraseBlock(B(7, 0));  // Idempotent.
 }
 
+TEST(DirectoryTest, NoteReportsFirstSightOnly) {
+  Directory dir;
+  EXPECT_FALSE(dir.Known(B(3, 1)));
+  EXPECT_TRUE(dir.Note(B(3, 1)));
+  EXPECT_TRUE(dir.Known(B(3, 1)));
+  EXPECT_FALSE(dir.Note(B(3, 1)));
+  EXPECT_TRUE(dir.Note(B(3, 2)));  // Another block of the same file.
+  dir.AddHolder(B(4, 0), 1);       // A held block is already known.
+  EXPECT_FALSE(dir.Note(B(4, 0)));
+  EXPECT_EQ(dir.HolderCount(B(3, 1)), 0u);
+  EXPECT_EQ(dir.NumTrackedBlocks(), 3u);
+  dir.EraseBlock(B(3, 1));  // Erased blocks are seen afresh.
+  EXPECT_FALSE(dir.Known(B(3, 1)));
+  EXPECT_TRUE(dir.Note(B(3, 1)));
+}
+
+TEST(DirectoryTest, NotedButNeverHeldIsNotCountedOnErase) {
+  Directory dir;
+  std::uint64_t ops = 0;
+  dir.set_op_counter(&ops);
+  dir.Note(B(7, 0));
+  dir.RemoveHolder(B(7, 0), 1);  // Not a holder: no op.
+  dir.EraseBlock(B(7, 0));
+  EXPECT_EQ(ops, 0u);
+  EXPECT_EQ(dir.NumTrackedBlocks(), 0u);
+
+  dir.Note(B(7, 0));
+  dir.AddHolder(B(7, 0), 1);
+  dir.RemoveHolder(B(7, 0), 1);
+  EXPECT_EQ(ops, 2u);
+  dir.EraseBlock(B(7, 0));  // Registered by the AddHolder: one count.
+  EXPECT_EQ(ops, 3u);
+}
+
 TEST(DirectoryTest, ForEachBlockSkipsEmptyHolderSets) {
   Directory dir;
   dir.AddHolder(B(1), 1);

@@ -106,6 +106,38 @@ TEST(InlineVecTest, ClearKeepsCapacity) {
   EXPECT_EQ(vec[0], 3u);
 }
 
+TEST(InlineVecTest, TagSurvivesGrowthCopyAndMove) {
+  Arena arena;
+  InlineVec<ClientId, 2> vec;
+  EXPECT_FALSE(vec.tag());
+  vec.set_tag(true);
+  EXPECT_TRUE(vec.inlined());
+  EXPECT_EQ(vec.capacity(), 2u);
+  for (ClientId c = 0; c < 5; ++c) {
+    vec.push_back(c, &arena);  // Spills into the arena.
+  }
+  EXPECT_TRUE(vec.tag());
+  EXPECT_TRUE(vec.arena_backed());
+  EXPECT_EQ(vec.capacity(), 8u);
+  vec.clear();
+  EXPECT_TRUE(vec.tag());
+
+  InlineVec<ClientId, 2> inline_tagged;
+  inline_tagged.set_tag(true);
+  inline_tagged.push_back(4);
+  const InlineVec<ClientId, 2> copy(inline_tagged);
+  EXPECT_TRUE(copy.tag());
+  EXPECT_TRUE(copy.inlined());
+  EXPECT_EQ(copy[0], 4u);
+  InlineVec<ClientId, 2> moved(std::move(inline_tagged));
+  EXPECT_TRUE(moved.tag());
+  EXPECT_FALSE(inline_tagged.tag());  // NOLINT(bugprone-use-after-move): spec'd reset.
+  moved.set_tag(false);
+  EXPECT_FALSE(moved.tag());
+  EXPECT_EQ(moved.capacity(), 2u);
+  EXPECT_EQ(moved[0], 4u);
+}
+
 // Randomized differential test against std::vector (push/pop/swap-remove).
 class InlineVecDifferential : public ::testing::TestWithParam<std::uint64_t> {};
 

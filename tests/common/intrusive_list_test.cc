@@ -8,6 +8,9 @@ namespace coopfs {
 namespace {
 
 struct Item {
+  Item() = default;
+  explicit Item(int v) : value(v) {}
+
   int value = 0;
   IntrusiveListNode node;
 };
@@ -114,6 +117,8 @@ TEST(IntrusiveListTest, UnlinkIsIdempotent) {
 }
 
 struct MultiItem {
+  explicit MultiItem(int v) : value(v) {}
+
   int value = 0;
   IntrusiveListNode lru_node;
   IntrusiveListNode dirty_node;

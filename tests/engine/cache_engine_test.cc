@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "src/core/policy_factory.h"
 #include "src/sim/validation.h"
@@ -42,6 +43,46 @@ TEST(CacheEngineTest, ColdLookupReachesDiskThenHitsLocal) {
   EXPECT_EQ(warm.latency_us, config.network.memory_copy);
   // The fast path takes no lock.
   EXPECT_EQ(engine.lock_stats().acquisitions, 0u);
+}
+
+std::vector<BlockId> Known(CacheEngine& engine, FileId file) {
+  const SimContext::KnownBlockList& blocks = engine.context().KnownBlocksOfFile(file);
+  return std::vector<BlockId>(blocks.begin(), blocks.end());
+}
+
+// Each file's known blocks stay in first-seen order whichever client saw
+// them and however (miss, local hit, another client's read, put); a delete
+// forgets the file and a later read starts its list afresh.
+TEST(CacheEngineTest, KnownBlocksKeepFirstSeenOrder) {
+  const SimulationConfig config = SmallConfig();
+  std::unique_ptr<Policy> policy = MakePolicy(PolicyKind::kNChance);
+  CacheEngine engine(config, config.num_clients, *policy);
+  SimContext& context = engine.context();
+
+  engine.Lookup(0, BlockId{5, 2});
+  engine.Lookup(1, BlockId{6, 0});
+  engine.Lookup(0, BlockId{5, 0});
+  EXPECT_EQ(engine.Lookup(0, BlockId{5, 2}).read.level, CacheLevel::kLocalMemory);
+  engine.Admit(2, BlockId{5, 1});
+  EXPECT_NE(engine.Lookup(1, BlockId{5, 2}).read.level, CacheLevel::kLocalMemory);
+  engine.Admit(0, BlockId{5, 2});  // The writer already caches it.
+  engine.Lookup(3, BlockId{6, 1});
+  engine.Admit(3, BlockId{6, 0});
+  EXPECT_EQ(Known(engine, 5), (std::vector<BlockId>{{5, 2}, {5, 0}, {5, 1}}));
+  EXPECT_EQ(Known(engine, 6), (std::vector<BlockId>{{6, 0}, {6, 1}}));
+  ASSERT_TRUE(CheckCacheDirectoryConsistency(context).ok());
+
+  engine.Evict(1, 5);
+  EXPECT_TRUE(Known(engine, 5).empty());
+  EXPECT_FALSE(context.directory().Known(BlockId{5, 2}));
+  EXPECT_EQ(Known(engine, 6), (std::vector<BlockId>{{6, 0}, {6, 1}}));
+  ASSERT_TRUE(CheckCacheDirectoryConsistency(context).ok());
+
+  EXPECT_EQ(engine.Lookup(2, BlockId{5, 0}).read.level, CacheLevel::kServerDisk);
+  engine.Lookup(0, BlockId{5, 2});
+  engine.Lookup(2, BlockId{5, 0});
+  EXPECT_EQ(Known(engine, 5), (std::vector<BlockId>{{5, 0}, {5, 2}}));
+  EXPECT_TRUE(CheckCacheDirectoryConsistency(context).ok());
 }
 
 TEST(CacheEngineTest, AdmitInstallsAtWriterAndReturnsWriteLatency) {

@@ -23,8 +23,37 @@ TEST(ValidationTest, FreshContextIsConsistent) {
 TEST(ValidationTest, ConsistentStatePasses) {
   const SimulationConfig config = Config();
   SimContext context(config, 2, 4, 4);
+  context.NoteBlock(BlockId{1, 0});  // As the read that fetched it would.
   context.client_cache(0).Insert(BlockId{1, 0});
   context.directory().AddHolder(BlockId{1, 0}, 0);
+  EXPECT_TRUE(CheckCacheDirectoryConsistency(context).ok());
+}
+
+TEST(ValidationTest, DetectsClientCachedButNotKnown) {
+  const SimulationConfig config = Config();
+  SimContext context(config, 2, 4, 4);
+  context.client_cache(0).Insert(BlockId{1, 0});
+  context.directory().AddHolder(BlockId{1, 0}, 0);  // Held, but never noted.
+  const Status status = CheckCacheDirectoryConsistency(context);
+  EXPECT_EQ(status.code(), StatusCode::kInternal);
+  EXPECT_NE(status.message().find("not a known block of its file"), std::string::npos);
+}
+
+TEST(ValidationTest, DetectsServerCachedWithoutDirectoryEntry) {
+  const SimulationConfig config = Config();
+  SimContext context(config, 2, 4, 4);
+  context.server_cache().Insert(BlockId{1, 0});
+  const Status status = CheckCacheDirectoryConsistency(context);
+  EXPECT_EQ(status.code(), StatusCode::kInternal);
+  EXPECT_NE(status.message().find("server 0 caches"), std::string::npos);
+  EXPECT_NE(status.message().find("no directory entry"), std::string::npos);
+}
+
+TEST(ValidationTest, NotedServerCopyPasses) {
+  const SimulationConfig config = Config();
+  SimContext context(config, 2, 4, 4);
+  context.NoteBlock(BlockId{1, 0});
+  context.server_cache().Insert(BlockId{1, 0});
   EXPECT_TRUE(CheckCacheDirectoryConsistency(context).ok());
 }
 
